@@ -145,7 +145,7 @@ RunResult run(const Shape& s, std::size_t workers) {
     // remapping happen exactly as ConsistencyPoint::run orders them).
     CpStats stats;
     agg->begin_cp();
-    std::vector<Vbn> vvbns, pvbns;
+    std::vector<Vbn> vvbns, pvbns, freed_pvbns;
     std::size_t at = 0;
     while (at < dirty.size()) {
       const VolumeId vol = dirty[at].vol;
@@ -154,6 +154,7 @@ RunResult run(const Shape& s, std::size_t workers) {
       FlexVol& fv = agg->volume(vol);
       vvbns.clear();
       pvbns.clear();
+      freed_pvbns.clear();
       for (std::size_t i = at; i < end; ++i) {
         vvbns.push_back(fv.allocate_vvbn(stats));
       }
@@ -172,11 +173,9 @@ RunResult run(const Shape& s, std::size_t workers) {
         const Vbn freed = fv.remap(dirty[i].logical, vvbns[i - at],
                                    pvbns[i - at]);
         agg->set_owner(pvbns[i - at], vol, vvbns[i - at]);
-        if (freed != kInvalidVbn) {
-          agg->clear_owner(freed);
-          agg->defer_free_pvbn(freed);
-        }
+        if (freed != kInvalidVbn) freed_pvbns.push_back(freed);
       }
+      agg->release_pvbns(freed_pvbns);
       stats.blocks_written += end - at;
       at = end;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/task_context.hpp"
@@ -54,38 +55,68 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
+namespace {
+
+/// Completion state of one parallel_for call, shared by its parts.  It
+/// lives on the caller's stack, so every part's last access to it happens
+/// under `mu`: the caller returns only after it has taken `mu` and seen
+/// `remaining == 0`, which orders each part's final touch before the frame
+/// is gone.
+struct PartSync {
+  explicit PartSync(std::size_t parts) : remaining(parts) {}
+
+  /// Records the first exception and asks the other parts to stop early.
+  void fail(std::exception_ptr e) {
+    {
+      std::lock_guard lk(mu);
+      if (first_error == nullptr) first_error = std::move(e);
+    }
+    abort.store(true, std::memory_order_relaxed);
+  }
+
+  /// A part's final action: nothing on the caller's stack may be touched
+  /// after this returns.
+  void part_done() {
+    std::lock_guard lk(mu);
+    if (--remaining == 0) cv.notify_one();
+  }
+
+  /// Blocks until every part is done, then rethrows the first exception.
+  void wait() {
+    std::unique_lock lk(mu);
+    cv.wait(lk, [this] { return remaining == 0; });
+    if (first_error != nullptr) std::rethrow_exception(first_error);
+  }
+
+  std::atomic<bool> abort{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t remaining;          // guarded by mu
+  std::exception_ptr first_error;  // guarded by mu
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t parts = std::min(n, workers_.size() + 1);
   const std::size_t chunk = (n + parts - 1) / parts;
-
-  std::atomic<std::size_t> remaining{parts};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;  // guarded by done_mu
+  PartSync sync(parts);
 
   auto run_chunk = [&](std::size_t part) {
     const std::size_t lo = begin + part * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
     try {
       for (std::size_t i = lo; i < hi; ++i) {
-        if (abort.load(std::memory_order_relaxed)) break;
+        if (sync.abort.load(std::memory_order_relaxed)) break;
         fn(i);
       }
     } catch (...) {
-      {
-        std::lock_guard lk(done_mu);
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_relaxed);
+      sync.fail(std::current_exception());
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lk(done_mu);
-      done_cv.notify_one();
-    }
+    sync.part_done();
   };
 
   // Workers take parts [1, parts); the caller runs part 0 itself so a
@@ -94,13 +125,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     submit([&, p] { run_chunk(p); });
   }
   run_chunk(0);
-
-  {
-    std::unique_lock lk(done_mu);
-    done_cv.wait(
-        lk, [&] { return remaining.load(std::memory_order_acquire) == 0; });
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  sync.wait();
 }
 
 void ThreadPool::parallel_for_dynamic(
@@ -117,38 +142,26 @@ void ThreadPool::parallel_for_dynamic(
   const std::size_t n = end - begin;
   const std::size_t nchunks = (n + chunk - 1) / chunk;
   const std::size_t parts = std::min(nchunks, workers_.size() + 1);
-
   std::atomic<std::size_t> next{begin};
-  std::atomic<std::size_t> remaining{parts};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;  // guarded by done_mu
+  PartSync sync(parts);
 
   auto run = [&] {
     try {
       for (;;) {
-        if (abort.load(std::memory_order_relaxed)) break;
+        if (sync.abort.load(std::memory_order_relaxed)) break;
         const std::size_t lo =
             next.fetch_add(chunk, std::memory_order_relaxed);
         if (lo >= end) break;
         const std::size_t hi = std::min(end, lo + chunk);
         for (std::size_t i = lo; i < hi; ++i) {
-          if (abort.load(std::memory_order_relaxed)) break;
+          if (sync.abort.load(std::memory_order_relaxed)) break;
           fn(i);
         }
       }
     } catch (...) {
-      {
-        std::lock_guard lk(done_mu);
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_relaxed);
+      sync.fail(std::current_exception());
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lk(done_mu);
-      done_cv.notify_one();
-    }
+    sync.part_done();
   };
 
   // As in parallel_for: the caller runs one part itself so a busy pool
@@ -157,14 +170,7 @@ void ThreadPool::parallel_for_dynamic(
     submit([&] { run(); });
   }
   run();
-
-  {
-    std::unique_lock lk(done_mu);
-    done_cv.wait(lk, [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  sync.wait();
 }
 
 void ThreadPool::worker_loop() {

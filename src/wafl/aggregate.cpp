@@ -113,9 +113,17 @@ void Aggregate::set_owner(Vbn pvbn, VolumeId vol, Vbn vvbn) {
   owner_[pvbn] = (static_cast<std::uint64_t>(vol) << 48) | vvbn;
 }
 
-void Aggregate::clear_owner(Vbn pvbn) {
-  WAFL_ASSERT(pvbn < total_blocks_);
-  owner_[pvbn] = kNoOwner;
+void Aggregate::release_pvbns(std::span<const Vbn> pvbns) {
+  for (std::size_t i = 0; i < pvbns.size(); ++i) {
+    if (i + kReleaseLookahead < pvbns.size()) {
+      // Address arithmetic only; a prefetch never faults.
+      __builtin_prefetch(owner_.data() + pvbns[i + kReleaseLookahead], 1);
+    }
+    const Vbn pvbn = pvbns[i];
+    WAFL_ASSERT(pvbn < total_blocks_);
+    owner_[pvbn] = kNoOwner;
+    defer_free_pvbn(pvbn);
+  }
 }
 
 std::optional<Aggregate::BlockOwner> Aggregate::owner_of(Vbn pvbn) const {

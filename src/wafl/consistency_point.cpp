@@ -1,6 +1,7 @@
 #include "wafl/consistency_point.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "fault/crash_point.hpp"
 #include "obs/obs.hpp"
@@ -9,108 +10,106 @@
 namespace wafl {
 namespace {
 
-/// Handles for the CP-boundary metric fold, resolved per call against the
-/// aggregate runtime's registry (a CP is far too coarse for ~20 hash
-/// lookups to matter).  The hot allocation loop never touches the
+/// Handles for the CP-boundary metric fold, resolved per construction
+/// against the aggregate runtime's registry (a CP is far too coarse for
+/// ~20 hash lookups to matter).  The hot allocation loop never touches the
 /// registry: per-block accounting rides on CpStats exactly as before, and
 /// this fold turns one CP's stats into one batch of counter adds.
 struct CpMetrics {
-  obs::Counter& count;
-  obs::Counter& ops;
-  obs::Counter& blocks_written;
-  obs::Counter& blocks_freed;
-  obs::Counter& vol_meta_blocks;
-  obs::Counter& agg_meta_blocks;
-  obs::Counter& meta_flush_blocks;
-  obs::Counter& tetrises;
-  obs::Counter& full_stripes;
-  obs::Counter& partial_stripes;
-  obs::Counter& parity_read_blocks;
-  obs::Counter& write_chains;
-  obs::Counter& vol_bits_scanned;
-  obs::Counter& agg_bits_scanned;
+  explicit CpMetrics(const Runtime& rt) : r(rt.registry()), l(rt.labels()) {}
+
+  obs::Registry& r;
+  const std::string l;
+  obs::Counter& count = r.counter("wafl.cp.count", l);
+  obs::Counter& ops = r.counter("wafl.cp.ops", l);
+  obs::Counter& blocks_written = r.counter("wafl.cp.blocks_written", l);
+  obs::Counter& blocks_freed = r.counter("wafl.cp.blocks_freed", l);
+  obs::Counter& vol_meta_blocks = r.counter("wafl.cp.vol_meta_blocks", l);
+  obs::Counter& agg_meta_blocks = r.counter("wafl.cp.agg_meta_blocks", l);
+  obs::Counter& meta_flush_blocks = r.counter("wafl.cp.meta_flush_blocks", l);
+  obs::Counter& tetrises = r.counter("wafl.cp.tetrises", l);
+  obs::Counter& full_stripes = r.counter("wafl.cp.full_stripes", l);
+  obs::Counter& partial_stripes = r.counter("wafl.cp.partial_stripes", l);
+  obs::Counter& parity_read_blocks =
+      r.counter("wafl.cp.parity_read_blocks", l);
+  obs::Counter& write_chains = r.counter("wafl.cp.write_chains", l);
+  obs::Counter& vol_bits_scanned = r.counter("wafl.vol.bits_scanned", l);
+  obs::Counter& agg_bits_scanned = r.counter("wafl.agg.bits_scanned", l);
   // Incremented at the replenish sites themselves (aggregate pools don't
   // route through CpStats); resolved here only so the metric is registered
   // — and therefore exported — from the first CP even if it never fires.
-  obs::Counter& hbps_replenishes;
-  obs::LogHistogram& storage_time_ns;
-  obs::LogHistogram& phase_sort_ns;
-  obs::LogHistogram& phase_alloc_ns;
-  obs::LogHistogram& phase_volumes_ns;
-  obs::LogHistogram& phase_delayed_free_ns;
-  obs::LogHistogram& phase_boundary_ns;
-  obs::LogHistogram& total_ns;
+  obs::Counter& hbps_replenishes = r.counter("wafl.hbps.replenishes", l);
+  obs::LogHistogram& storage_time_ns =
+      r.histogram("wafl.cp.storage_time_ns", l);
+  obs::LogHistogram& phase_sort_ns = r.histogram("wafl.cp.phase.sort_ns", l);
+  obs::LogHistogram& phase_alloc_ns = r.histogram("wafl.cp.phase.alloc_ns", l);
+  obs::LogHistogram& phase_volumes_ns =
+      r.histogram("wafl.cp.phase.volumes_ns", l);
+  obs::LogHistogram& phase_delayed_free_ns =
+      r.histogram("wafl.cp.phase.delayed_free_ns", l);
+  obs::LogHistogram& phase_boundary_ns =
+      r.histogram("wafl.cp.phase.boundary_ns", l);
+  obs::LogHistogram& total_ns = r.histogram("wafl.cp.phase.total_ns", l);
 };
-
-CpMetrics cp_metrics(const Runtime& rt) {
-  obs::Registry& r = rt.registry();
-  const std::string l = rt.labels();
-  return CpMetrics{
-      r.counter("wafl.cp.count", l),
-      r.counter("wafl.cp.ops", l),
-      r.counter("wafl.cp.blocks_written", l),
-      r.counter("wafl.cp.blocks_freed", l),
-      r.counter("wafl.cp.vol_meta_blocks", l),
-      r.counter("wafl.cp.agg_meta_blocks", l),
-      r.counter("wafl.cp.meta_flush_blocks", l),
-      r.counter("wafl.cp.tetrises", l),
-      r.counter("wafl.cp.full_stripes", l),
-      r.counter("wafl.cp.partial_stripes", l),
-      r.counter("wafl.cp.parity_read_blocks", l),
-      r.counter("wafl.cp.write_chains", l),
-      r.counter("wafl.vol.bits_scanned", l),
-      r.counter("wafl.agg.bits_scanned", l),
-      r.counter("wafl.hbps.replenishes", l),
-      r.histogram("wafl.cp.storage_time_ns", l),
-      r.histogram("wafl.cp.phase.sort_ns", l),
-      r.histogram("wafl.cp.phase.alloc_ns", l),
-      r.histogram("wafl.cp.phase.volumes_ns", l),
-      r.histogram("wafl.cp.phase.delayed_free_ns", l),
-      r.histogram("wafl.cp.phase.boundary_ns", l),
-      r.histogram("wafl.cp.phase.total_ns", l),
-  };
-}
 
 /// One volume's slice of the CP: vvbn allocation + remapping over a
-/// contiguous run of the (vol-sorted) dirty list.  Everything it touches
-/// is either volume-local or a disjoint element of the aggregate's owner
-/// table, so slices for different volumes run concurrently.
+/// contiguous run of the (volume-grouped) dirty list and its pvbns.
+/// Everything it touches is either volume-local or a disjoint element of
+/// the aggregate's owner table, so slices for different volumes run
+/// concurrently.
 struct VolumeSlice {
   VolumeId vol;
-  std::size_t begin = 0;  // index into the sorted dirty list / pvbns
-  std::size_t end = 0;
+  std::span<const DirtyBlock> dirty;
+  std::span<const Vbn> pvbns;
+  std::span<Vbn> vvbns;          // cp_remap's output
   CpStats stats;                 // merged into the CP's stats afterwards
-  std::vector<Vbn> freed_pvbns;  // applied serially afterwards
+  std::vector<Vbn> freed_pvbns;  // released serially afterwards
 };
 
-void run_slice(Aggregate& agg, std::span<const DirtyBlock> dirty,
-               std::span<const Vbn> pvbns, VolumeSlice& slice) {
+void run_slice(Aggregate& agg, VolumeSlice& s) {
   // Parent: the cp.volumes span on the scheduling thread — the pool
   // carried its id here through the task-context word.
-  obs::TraceSpan span(obs::SpanKind::kCpVolSlice, slice.vol,
-                      slice.end - slice.begin);
-  FlexVol& vol = agg.volume(slice.vol);
-  for (std::size_t i = slice.begin; i < slice.end; ++i) {
-    const DirtyBlock& db = dirty[i];
-    const Vbn vvbn = vol.allocate_vvbn(slice.stats);
-    const Vbn pvbn = pvbns[i];
-    const Vbn freed_pvbn = vol.remap(db.logical, vvbn, pvbn);
-    agg.set_owner(pvbn, slice.vol, vvbn);
-    if (freed_pvbn != kInvalidVbn) {
-      slice.freed_pvbns.push_back(freed_pvbn);
-    }
+  obs::TraceSpan span(obs::SpanKind::kCpVolSlice, s.vol, s.dirty.size());
+  agg.volume(s.vol).cp_remap(s.dirty, s.pvbns, s.vvbns, s.freed_pvbns,
+                             s.stats);
+  for (std::size_t i = 0; i < s.pvbns.size(); ++i) {
+    agg.set_owner(s.pvbns[i], s.vol, s.vvbns[i]);
   }
 }
 
 }  // namespace
 
+void ConsistencyPoint::group_by_volume(std::vector<DirtyBlock>& dirty,
+                                       std::size_t volume_count) {
+  // A list already in volume order (one volume, or volumes submitted one
+  // after another) is its own result and stays where it is.
+  const auto by_vol = [](const DirtyBlock& a, const DirtyBlock& b) {
+    return a.vol < b.vol;
+  };
+  if (std::is_sorted(dirty.begin(), dirty.end(), by_vol)) {
+    WAFL_ASSERT(dirty.empty() || dirty.back().vol < volume_count);
+    return;
+  }
+  // Counting scatter: start[v] is where volume v's run begins; each block
+  // lands at its volume's next slot, so per-volume order is kept.
+  std::vector<std::size_t> start(volume_count + 1, 0);
+  for (const DirtyBlock& b : dirty) {
+    WAFL_ASSERT(b.vol < volume_count);
+    ++start[b.vol + 1];
+  }
+  for (std::size_t v = 1; v <= volume_count; ++v) start[v] += start[v - 1];
+  std::vector<DirtyBlock> grouped(dirty.size());
+  for (const DirtyBlock& b : dirty) grouped[start[b.vol]++] = b;
+  dirty.swap(grouped);
+}
+
 ConsistencyPoint::Frozen ConsistencyPoint::freeze(
-    Aggregate& agg, std::span<const DirtyBlock> dirty) {
+    Aggregate& agg, std::vector<DirtyBlock> dirty) {
   Frozen frozen;
   obs::PhaseTimer phase_timer;
   frozen.start_ns = obs::monotonic_ns();
   WAFL_OBS({
-    obs::Counter& count = cp_metrics(agg.runtime()).count;
+    obs::Counter& count = CpMetrics(agg.runtime()).count;
     count.inc();
     frozen.cp_no = static_cast<std::uint32_t>(count.value());
     obs::trace().emit(obs::EventType::kCpBegin, frozen.cp_no, dirty.size());
@@ -126,13 +125,10 @@ ConsistencyPoint::Frozen ConsistencyPoint::freeze(
   // Group the dirty list by volume (stable, preserving per-volume order)
   // so each volume's work is one contiguous slice.
   obs::TraceSpan sort_span(obs::SpanKind::kCpSort, 0, dirty.size());
-  frozen.dirty.assign(dirty.begin(), dirty.end());
-  std::stable_sort(frozen.dirty.begin(), frozen.dirty.end(),
-                   [](const DirtyBlock& a, const DirtyBlock& b) {
-                     return a.vol < b.vol;
-                   });
+  group_by_volume(dirty, agg.volume_count());
+  frozen.dirty = std::move(dirty);
   sort_span.end();
-  WAFL_OBS(cp_metrics(agg.runtime())
+  WAFL_OBS(CpMetrics(agg.runtime())
                .phase_sort_ns.record(static_cast<double>(phase_timer.lap())));
   return frozen;
 }
@@ -157,40 +153,35 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   WAFL_ASSERT_MSG(ok, "aggregate out of space during CP");
   alloc_span.set_b(pvbns.size());
   alloc_span.end();
-  WAFL_OBS(cp_metrics(agg.runtime())
+  WAFL_OBS(CpMetrics(agg.runtime())
                .phase_alloc_ns.record(static_cast<double>(phase_timer.lap())));
 
   // Phase 2: per-volume virtual allocation and remapping — parallel
   // across volumes when a pool is supplied [10].
   obs::TraceSpan volumes_span(obs::SpanKind::kCpVolumes);
+  std::vector<Vbn> vvbns(sorted.size());
   std::vector<VolumeSlice> slices;
-  for (std::size_t i = 0; i < sorted.size();) {
-    VolumeSlice slice;
-    slice.vol = sorted[i].vol;
-    slice.begin = i;
-    while (i < sorted.size() && sorted[i].vol == slice.vol) ++i;
-    slice.end = i;
-    slices.push_back(std::move(slice));
+  for (std::size_t begin = 0, end = 0; begin < sorted.size(); begin = end) {
+    while (end < sorted.size() && sorted[end].vol == sorted[begin].vol) ++end;
+    const std::size_t n = end - begin;
+    slices.push_back({sorted[begin].vol,
+                      std::span(sorted).subspan(begin, n),
+                      std::span(pvbns).subspan(begin, n),
+                      std::span(vvbns).subspan(begin, n), {}, {}});
   }
   if (pool != nullptr && slices.size() > 1) {
-    pool->parallel_for(0, slices.size(), [&](std::size_t k) {
-      run_slice(agg, sorted, pvbns, slices[k]);
-    });
+    pool->parallel_for(0, slices.size(),
+                       [&](std::size_t k) { run_slice(agg, slices[k]); });
   } else {
-    for (VolumeSlice& slice : slices) {
-      run_slice(agg, sorted, pvbns, slice);
-    }
+    for (VolumeSlice& slice : slices) run_slice(agg, slice);
   }
   for (VolumeSlice& slice : slices) {
     stats.merge(slice.stats);
-    for (const Vbn freed_pvbn : slice.freed_pvbns) {
-      agg.clear_owner(freed_pvbn);
-      agg.defer_free_pvbn(freed_pvbn);
-    }
+    agg.release_pvbns(slice.freed_pvbns);
   }
   volumes_span.set_b(slices.size());
   volumes_span.end();
-  WAFL_OBS(cp_metrics(agg.runtime())
+  WAFL_OBS(CpMetrics(agg.runtime())
                .phase_volumes_ns.record(
                    static_cast<double>(phase_timer.lap())));
 
@@ -203,13 +194,10 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
     agg.volume(v).process_delayed_frees(kDelayedFreeRegionsPerCp,
                                         reclaimed_pvbns);
   }
-  for (const Vbn pvbn : reclaimed_pvbns) {
-    agg.clear_owner(pvbn);
-    agg.defer_free_pvbn(pvbn);
-  }
+  agg.release_pvbns(reclaimed_pvbns);
   delayed_span.set_b(reclaimed_pvbns.size());
   delayed_span.end();
-  WAFL_OBS(cp_metrics(agg.runtime())
+  WAFL_OBS(CpMetrics(agg.runtime())
                .phase_delayed_free_ns.record(
                    static_cast<double>(phase_timer.lap())));
 
@@ -233,7 +221,7 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   // Fold this CP's stats into the global registry (one batch of adds per
   // CP) and close out the trace.
   WAFL_OBS({
-    CpMetrics m = cp_metrics(agg.runtime());
+    CpMetrics m(agg.runtime());
     m.phase_boundary_ns.record(static_cast<double>(phase_timer.lap()));
     const std::uint64_t dur_ns = obs::monotonic_ns() - cp_start_ns;
     m.total_ns.record(static_cast<double>(dur_ns));
@@ -260,7 +248,7 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
 CpStats ConsistencyPoint::run(Aggregate& agg,
                               std::span<const DirtyBlock> dirty) {
   obs::TraceSpan cp_span(obs::SpanKind::kCp, 0, dirty.size());
-  Frozen frozen = freeze(agg, dirty);
+  Frozen frozen = freeze(agg, {dirty.begin(), dirty.end()});
   cp_span.set_a(frozen.cp_no);
   return drain(agg, std::move(frozen));
 }

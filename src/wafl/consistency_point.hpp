@@ -25,12 +25,6 @@ namespace wafl {
 
 class ThreadPool;
 
-/// One dirty user block awaiting write-out.
-struct DirtyBlock {
-  VolumeId vol;
-  std::uint64_t logical;
-};
-
 class ConsistencyPoint {
  public:
   /// Delayed-free regions reclaimed per volume per CP (bounds the extra
@@ -39,22 +33,30 @@ class ConsistencyPoint {
 
   /// The frozen generation: the CP's input, captured by freeze() and
   /// consumed by drain().  Holds the dirty list grouped by volume
-  /// (stable sort — per-volume submission order preserved, which is what
-  /// makes the overlapped driver byte-identical to stop-the-world).
+  /// (group_by_volume — per-volume submission order preserved, which is
+  /// what makes the overlapped driver byte-identical to stop-the-world).
   struct Frozen {
     std::vector<DirtyBlock> dirty;
     std::uint32_t cp_no = 0;
     std::uint64_t start_ns = 0;
   };
 
+  /// Groups `dirty` by volume id, each volume's blocks kept in their
+  /// order — what a stable sort by `vol` gives, in
+  /// O(dirty + volume_count).  Every block's `vol` must be below
+  /// `volume_count`.
+  static void group_by_volume(std::vector<DirtyBlock>& dirty,
+                              std::size_t volume_count);
+
   /// CP start (DESIGN.md §13): swaps the active generation of every piece
   /// of CP-mutable dirty state into the frozen generation — Aggregate::
-  /// freeze_cp_generation() — and captures/sorts the dirty list.  Cheap
-  /// (no media I/O, O(dirty + staged entries)); the returned snapshot is
-  /// bit-identical to what the pre-split run() operated on, which the
-  /// determinism oracle checks.  Crash hook `cp.in_gen_swap` fires
-  /// mid-swap (aggregate frozen, volumes still staging).
-  static Frozen freeze(Aggregate& agg, std::span<const DirtyBlock> dirty);
+  /// freeze_cp_generation() — and takes the dirty list, grouped by
+  /// volume.  Cheap (no media I/O, O(dirty + volumes + staged entries));
+  /// the returned snapshot is bit-identical to what the pre-split run()
+  /// operated on, which the determinism oracle checks.  Crash hook
+  /// `cp.in_gen_swap` fires mid-swap (aggregate frozen, volumes still
+  /// staging).
+  static Frozen freeze(Aggregate& agg, std::vector<DirtyBlock> dirty);
 
   /// The phased CP work over a frozen generation: physical allocation,
   /// per-volume remap, delayed-free reclaim, and the boundary.  Under the

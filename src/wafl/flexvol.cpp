@@ -181,6 +181,40 @@ Vbn FlexVol::allocate_vvbn(CpStats& stats) {
   }
 }
 
+void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
+                       std::span<const Vbn> pvbns, std::span<Vbn> vvbns_out,
+                       std::vector<Vbn>& freed_pvbns, CpStats& stats) {
+  WAFL_ASSERT(pvbns.size() == dirty.size());
+  WAFL_ASSERT(vvbns_out.size() == dirty.size());
+  // Two-stage software pipeline over the dependent loads of remap():
+  // block i+2d's block-map entry is prefetched, block i+d's is read (it
+  // arrived during the last d blocks) and its old vvbn's container-map
+  // entry prefetched, and block i is processed with both entries in
+  // cache.  The prefetches only warm the cache; remap() re-reads
+  // everything, so the result does not depend on the distance.
+  const std::size_t n = dirty.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 2 * kRemapLookahead < n) {
+      // Address arithmetic only; a prefetch never faults.  The read stage
+      // below checks the index.
+      __builtin_prefetch(
+          block_map_.data() + dirty[i + 2 * kRemapLookahead].logical, 1);
+    }
+    if (i + kRemapLookahead < n) {
+      const std::uint64_t l = dirty[i + kRemapLookahead].logical;
+      WAFL_ASSERT(l < cfg_.file_blocks);
+      const Vbn old_vvbn = block_map_[l];
+      if (old_vvbn != kInvalidVbn) {
+        __builtin_prefetch(&container_map_[old_vvbn], 1);
+      }
+    }
+    const Vbn vvbn = allocate_vvbn(stats);
+    vvbns_out[i] = vvbn;
+    const Vbn freed_pvbn = remap(dirty[i].logical, vvbn, pvbns[i]);
+    if (freed_pvbn != kInvalidVbn) freed_pvbns.push_back(freed_pvbn);
+  }
+}
+
 Vbn FlexVol::remap(std::uint64_t l, Vbn vvbn, Vbn pvbn) {
   WAFL_ASSERT(l < cfg_.file_blocks);
   WAFL_ASSERT(container_map_[vvbn] == kInvalidVbn);

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bitmap/activemap.hpp"
@@ -36,6 +37,12 @@ namespace wafl {
 
 /// Snapshot identifier within one FlexVol.
 using SnapId = std::uint32_t;
+
+/// One dirty user block awaiting write-out.
+struct DirtyBlock {
+  VolumeId vol;
+  std::uint64_t logical;
+};
 
 struct FlexVolConfig {
   /// Virtual VBN space size in blocks.
@@ -89,6 +96,16 @@ class FlexVol {
   /// previous mapping to the CP boundary.  Returns the freed pvbn (for the
   /// aggregate to free) or kInvalidVbn if l was unmapped.
   Vbn remap(std::uint64_t l, Vbn vvbn, Vbn pvbn);
+
+  /// The CP's per-volume phase over this volume's run of the dirty list:
+  /// allocate_vvbn() + remap() for each block, in order, binding
+  /// dirty[i].logical to (vvbns_out[i], pvbns[i]).  Appends each freed
+  /// pvbn to `freed_pvbns` in block order.  Byte-identical to the
+  /// per-block calls; it only prefetches the block-map and container-map
+  /// entries of blocks a few places ahead (DESIGN.md §17).
+  void cp_remap(std::span<const DirtyBlock> dirty, std::span<const Vbn> pvbns,
+                std::span<Vbn> vvbns_out, std::vector<Vbn>& freed_pvbns,
+                CpStats& stats);
 
   /// Points an existing virtual block at a new physical location — the
   /// segment cleaner's operation (§3.3.1): physical relocation changes
@@ -201,6 +218,13 @@ class FlexVol {
 
   std::vector<Vbn> block_map_;      // logical -> vvbn
   std::vector<Vbn> container_map_;  // vvbn -> pvbn
+  /// cp_remap()'s pipeline distance, in blocks.  Measured on the
+  /// benchmark's ssd_overwrite (4-core x86 host, block and container maps
+  /// of 4-5 MiB each): the volume slice costs 3.5 ms per 24k-block CP at
+  /// distance 0, 2.2 ms at 2 and 1.9-2.1 ms from 4 to 32.  8 sits on that
+  /// plateau with room for slower memory; a larger distance only holds
+  /// more lines in flight.
+  static constexpr std::size_t kRemapLookahead = 8;
 
   struct Snapshot {
     SnapId id;

@@ -244,7 +244,7 @@ void OverlappedCpDriver::launch_cp_locked(std::unique_lock<std::mutex>& lk) {
   const std::uint64_t freeze_t0 = obs::monotonic_ns();
   ConsistencyPoint::Frozen frozen;
   try {
-    frozen = ConsistencyPoint::freeze(agg_, batch);
+    frozen = ConsistencyPoint::freeze(agg_, std::move(batch));
   } catch (...) {
     std::unique_lock<std::mutex> relk(mu_);
     drain_in_flight_.store(false, std::memory_order_release);

@@ -65,6 +65,8 @@ std::int64_t SegmentCleaner::clean_one(Aggregate& agg, RaidGroupId rg,
   // Relocate through the normal allocator; the source AA is checked out,
   // so the new locations land in other AAs.  Cleaning must not start
   // without relocation headroom — a partial failure would leak blocks.
+  // The targets are newly allocated, so they never alias the live blocks
+  // released after the loop.
   std::vector<Vbn> targets;
   targets.reserve(live.size());
   const bool ok = agg.allocate_pvbns(live.size(), targets, stats);
@@ -74,9 +76,8 @@ std::int64_t SegmentCleaner::clean_one(Aggregate& agg, RaidGroupId rg,
     const Vbn old = agg.volume(owner.vol).relocate(owner.vvbn, targets[i]);
     WAFL_ASSERT(old == live[i]);
     agg.set_owner(targets[i], owner.vol, owner.vvbn);
-    agg.clear_owner(live[i]);
-    agg.defer_free_pvbn(live[i]);
   }
+  agg.release_pvbns(live);
   span.set_b(live.size());
   return static_cast<std::int64_t>(live.size());
 }

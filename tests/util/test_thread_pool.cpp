@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/task_context.hpp"
@@ -297,6 +299,45 @@ TEST(ThreadPool, TaskContextRestoredAcrossExceptionRethrow) {
     });
   }
   EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentCallersStress) {
+  // Each call keeps its completion state on the caller's stack, so the
+  // last part to finish must be done with it before the caller can see
+  // the call complete; otherwise the part touches a frame the caller has
+  // already left (under ASan, which the test binaries run with
+  // stack-use-after-return detection: tests/support/asan_options.cpp).
+  // Two callers issue thousands of small calls on one pool.  Each item
+  // takes about a microsecond, long enough for the woken workers to join,
+  // so every part of a call ends within an item of the others — the
+  // timing that exposes the hand-off.
+  ThreadPool pool(4);
+  constexpr std::size_t kCalls = 10000;
+  constexpr std::size_t kItems = 64;
+  std::atomic<std::uint64_t> total{0};
+  auto caller = [&](std::size_t parity) {
+    for (std::size_t c = 0; c < kCalls; ++c) {
+      std::atomic<std::uint64_t> hits{0};
+      auto fn = [&](std::size_t) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        hits.fetch_add(1);
+      };
+      if ((c + parity) % 2 == 0) {
+        pool.parallel_for(0, kItems, fn);
+      } else {
+        pool.parallel_for_dynamic(0, kItems, fn);
+      }
+      total.fetch_add(hits.load());
+    }
+  };
+  std::thread a(caller, std::size_t{0});
+  std::thread b(caller, std::size_t{1});
+  a.join();
+  b.join();
+  EXPECT_EQ(total.load(), 2 * kCalls * kItems);
 }
 
 TEST(ThreadPool, DestructorDrainsOutstandingWork) {

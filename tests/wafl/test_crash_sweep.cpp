@@ -13,6 +13,7 @@
 // only a small smoke subset runs, so the full sweep is not duplicated.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <string>
@@ -134,9 +135,19 @@ CrashCaseConfig config_for(std::uint64_t seed) {
   return cfg;
 }
 
+std::string repro_line(std::uint64_t seed) {
+  return "WAFL_CRASH_SEED=" + std::to_string(seed) +
+         " ./waflfree_crash_tests --gtest_filter='CrashSweep.*'";
+}
+
 void run_case(int index, std::uint64_t seed) {
   SCOPED_TRACE("sweep case " + std::to_string(index) + " seed " +
                std::to_string(seed));
+  // Printed (and flushed) up front: a case that hangs until the ctest
+  // timeout kills the shard leaves no assertion message behind, only the
+  // output so far.
+  std::printf("sweep case %d: %s\n", index, repro_line(seed).c_str());
+  std::fflush(stdout);
   const CrashCaseConfig cfg = config_for(seed);
   CrashHarness h(cfg);
   const CrashVerdict v = h.run_all();
@@ -146,8 +157,7 @@ void run_case(int index, std::uint64_t seed) {
     // Failure UX: the exact repro line and the black-box dump travel
     // together, so a CI log alone localizes the failing CP phase.
     ADD_FAILURE() << "crash-sweep case failed; reproduce with:\n  "
-                  << "WAFL_CRASH_SEED=" << seed
-                  << " ./waflfree_crash_tests --gtest_filter='CrashSweep.*'"
+                  << repro_line(seed)
                   << (hook_mode ? "   (hook " + cfg.crash_hook + " nth=" +
                                       std::to_string(cfg.crash_hook_nth) + ")"
                                 : "")
