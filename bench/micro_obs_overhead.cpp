@@ -1,10 +1,11 @@
-// Overhead proof for the wafl::obs instrumentation (ISSUE acceptance:
+// Overhead proof for the wafl::obs instrumentation (the gate: a
 // <2% throughput delta on the fig6-style allocation hot loop between
 // WAFL_OBS_ENABLED=ON and OFF builds).
 //
 // Two measurements:
 //   1. Primitive costs — ns/op for counter add, histogram record, and
-//      trace emit, so regressions in the obs layer itself are visible.
+//      span open/close, so regressions in the obs layer itself are
+//      visible.
 //   2. The fig6 hot loop — an aged all-SSD aggregate running repeated
 //      CPs of skewed random overwrites through the real allocator.  The
 //      headline `alloc_loop_blocks_per_sec=` line is machine-parseable;
@@ -63,13 +64,6 @@ void bench_primitives() {
   }
   const double linear_ns = seconds_since(t0) * 1e9 / kIters;
 
-  constexpr std::uint64_t kTraceIters = 200'000;
-  t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < kTraceIters; ++i) {
-    obs::trace().emit(obs::EventType::kDeviceIo, 0, i, i, i);
-  }
-  const double trace_ns = seconds_since(t0) * 1e9 / kTraceIters;
-
   // Span sites have two costs: the dormant one every instrumented phase
   // pays whether or not anyone is tracing (one relaxed load of the
   // capture gate — this is the cost the <2% hot-loop gate bounds), and
@@ -98,7 +92,6 @@ void bench_primitives() {
   std::printf("  counter add       %8.1f ns/op\n", counter_ns);
   std::printf("  log hist record   %8.1f ns/op\n", hist_ns);
   std::printf("  linear hist record%8.1f ns/op\n", linear_ns);
-  std::printf("  trace emit        %8.1f ns/op\n", trace_ns);
   std::printf("  span (capture off)%8.1f ns/op\n", span_off_ns);
   std::printf("  span (capture on) %8.1f ns/op\n", span_on_ns);
   obs::reset_all();

@@ -134,7 +134,6 @@ void Hbps::update_score(AaId aa, AaScore old_score, AaScore new_score) {
   if (b0 == b1) return;  // same bin: nothing moves (partial sort)
   WAFL_OBS({
     if (rebin_counter_ != nullptr) rebin_counter_->inc();
-    obs::trace().emit(obs::EventType::kHbpsRebin, 0, aa, b0, b1);
   });
   WAFL_ASSERT(hist_[b0] > 0);
   --hist_[b0];
@@ -173,7 +172,6 @@ void Hbps::apply_changes(std::span<const ScoreChange> changes) {
     if (b0 == b1) continue;
     WAFL_OBS({
       if (rebin_counter_ != nullptr) rebin_counter_->inc();
-      obs::trace().emit(obs::EventType::kHbpsRebin, 0, c.aa, b0, b1);
     });
     WAFL_ASSERT(hist_[b0] > 0);
     --hist_[b0];

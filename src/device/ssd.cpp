@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.hpp"
 #include "util/assert.hpp"
 
 namespace wafl {
@@ -112,7 +111,6 @@ void SsdModel::garbage_collect() {
   gc_active_ = true;
 
   // Relocate the victim's valid pages into the open block.
-  const std::uint64_t reads0 = gc_reads_;
   const std::uint32_t base = victim * params_.pages_per_erase_block;
   for (std::uint32_t i = 0; i < params_.pages_per_erase_block; ++i) {
     const std::uint32_t lbn = p2l_[base + i];
@@ -126,19 +124,6 @@ void SsdModel::garbage_collect() {
   is_free_eb_[victim] = true;
   free_ebs_.insert(free_ebs_.begin(), victim);  // FIFO reuse for even wear
   gc_active_ = false;
-
-  WAFL_OBS({
-    obs::Registry& reg = obs::registry();
-    static obs::Counter& collections =
-        reg.counter("wafl.ssd.gc_collections");
-    static obs::Counter& relocated =
-        reg.counter("wafl.ssd.gc_relocated_pages");
-    static obs::Counter& erases = reg.counter("wafl.ssd.erases");
-    collections.inc();
-    relocated.add(gc_reads_ - reads0);
-    erases.inc();
-    obs::trace().emit(obs::EventType::kSsdGc, 0, gc_reads_ - reads0, erases_);
-  });
 }
 
 SimTime SsdModel::write_batch(std::span<const WriteRun> runs,

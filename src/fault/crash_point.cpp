@@ -45,19 +45,16 @@ void CrashHooks::hit_slow(const char* name) {
     armed_count_.store(armed_.size(), std::memory_order_relaxed);
   }
   WAFL_OBS({
-    obs::Registry& reg = reg_ != nullptr ? *reg_ : obs::registry();
-    reg.counter("wafl.fault.crashes_injected").inc();
+    reg_->counter("wafl.fault.crashes_injected").inc();
     // Black-box note: the dump ties the failure/repro back to the exact
     // hook (and firing ordinal) that cut the CP short.
-    obs::FlightRecorder& fr =
-        flight_ != nullptr ? *flight_ : obs::flight_recorder();
-    fr.note("crash", name, fired_count);
+    flight_->note("crash", name, fired_count);
   });
   throw CrashPoint(name, fired_count);
 }
 
 CrashHooks& crash_hooks() {
-  static CrashHooks hooks;
+  static CrashHooks hooks(obs::registry(), obs::flight_recorder());
   return hooks;
 }
 

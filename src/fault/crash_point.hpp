@@ -6,10 +6,11 @@
 // survivors back to a consistent state.  To *prove* that, the CP boundary,
 // mount, and recovery paths are instrumented with named crash points:
 //
-//   WAFL_CRASH_POINT("wa.before_bitmap_flush");
+//   WAFL_CRASH_POINT_RT(rt, "wa.before_bitmap_flush");
 //
-// In production nothing is armed and a crash point costs one relaxed
-// atomic load.  A test arms a point — crash_hooks().arm(name, nth) — and
+// (wafl/runtime.hpp: the hit goes to the aggregate's own CrashHooks.)  In
+// production nothing is armed and a crash point costs one relaxed atomic
+// load.  A test arms a point — rt.crash_hooks().arm(name, nth) — and
 // the nth execution of that point throws CrashPoint, unwinding out of the
 // CP exactly as a power loss would freeze it: everything already written
 // to the BlockStores survives, everything in memory is lost (the harness
@@ -63,20 +64,16 @@ class CrashPoint : public std::runtime_error {
 };
 
 /// Registry of armed crash points.  One instance is process-global
-/// (crash_hooks(), reached by WAFL_CRASH_POINT); per-aggregate runtimes
+/// (crash_hooks(), what a default Runtime reaches); per-aggregate runtimes
 /// own their own, so arming a hook in one aggregate's scope never fires
 /// in another's.  Thread-safe: crash points in the parallel CP-boundary
 /// phase are hit concurrently (the ThreadPool rethrows the first
 /// CrashPoint on the calling thread).
 class CrashHooks {
  public:
-  /// Routes the fired-crash counter and flight-recorder note into a
-  /// specific obs scope (null: the process globals).  Set before
-  /// concurrent use; the binding itself is not synchronized.
-  void bind_obs(obs::Registry* reg, obs::FlightRecorder* flight) noexcept {
-    reg_ = reg;
-    flight_ = flight;
-  }
+  /// A fired crash counts into `reg` and notes into `flight`.
+  CrashHooks(obs::Registry& reg, obs::FlightRecorder& flight)
+      : reg_(&reg), flight_(&flight) {}
 
   /// Arms `name`: its `nth` execution after this call throws CrashPoint.
   /// Re-arming an armed name replaces its trigger.  A fired point disarms
@@ -110,14 +107,12 @@ class CrashHooks {
   mutable std::mutex mu_;
   std::unordered_map<std::string, Armed> armed_;
   std::atomic<std::size_t> armed_count_{0};
-  obs::Registry* reg_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Registry* const reg_;
+  obs::FlightRecorder* const flight_;
 };
 
-/// Process-global hook registry (one per process, like obs::registry()).
+/// Process-global hook registry (one per process, like obs::registry()),
+/// counting into obs::registry() and noting into obs::flight_recorder().
 CrashHooks& crash_hooks();
 
 }  // namespace wafl::fault
-
-/// A named crash point.  Free-standing so call sites read as annotations.
-#define WAFL_CRASH_POINT(name) ::wafl::fault::crash_hooks().hit(name)

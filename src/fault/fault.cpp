@@ -4,16 +4,15 @@
 
 namespace wafl::fault {
 
-FaultEngine::FaultEngine(const FaultPlan& plan, obs::Registry* reg,
-                         obs::FlightRecorder* flight)
-    : plan_(plan), rng_(plan.seed), flight_(flight) {
+FaultEngine::FaultEngine(const FaultPlan& plan, obs::Registry& reg,
+                         obs::FlightRecorder& flight)
+    : plan_(plan), rng_(plan.seed), flight_(&flight) {
   WAFL_ASSERT(plan_.torn_bytes < kBlockSize);
   WAFL_OBS({
-    obs::Registry& r = reg != nullptr ? *reg : obs::registry();
-    metrics_.torn = &r.counter("wafl.fault.torn_writes");
-    metrics_.dropped = &r.counter("wafl.fault.dropped_writes");
-    metrics_.bitrot = &r.counter("wafl.fault.read_bitrot");
-    metrics_.crashes = &r.counter("wafl.fault.crashes_injected");
+    metrics_.torn = &reg.counter("wafl.fault.torn_writes");
+    metrics_.dropped = &reg.counter("wafl.fault.dropped_writes");
+    metrics_.bitrot = &reg.counter("wafl.fault.read_bitrot");
+    metrics_.crashes = &reg.counter("wafl.fault.crashes_injected");
   });
 }
 
@@ -98,9 +97,7 @@ void FaultEngine::after_write(const BlockStore& store,
   }
   WAFL_OBS({
     metrics_.crashes->inc();
-    obs::FlightRecorder& fr =
-        flight_ != nullptr ? *flight_ : obs::flight_recorder();
-    fr.note("crash", "store.write", ordinal);
+    flight_->note("crash", "store.write", ordinal);
   });
   throw CrashPoint("store.write", ordinal);
 }

@@ -93,10 +93,10 @@ struct FaultRecord {
 class FaultEngine final : public FaultInjector {
  public:
   /// `reg`/`flight` scope the engine's fault counters and crash note to a
-  /// specific runtime (a fleet member's RuntimeBundle); null uses the
-  /// process globals, as before.
-  explicit FaultEngine(const FaultPlan& plan, obs::Registry* reg = nullptr,
-                       obs::FlightRecorder* flight = nullptr);
+  /// specific runtime (a fleet member's RuntimeBundle).
+  explicit FaultEngine(const FaultPlan& plan,
+                       obs::Registry& reg = obs::registry(),
+                       obs::FlightRecorder& flight = obs::flight_recorder());
 
   WriteOutcome on_write(const BlockStore& store, std::uint64_t block_no,
                         std::span<const std::byte> data) override;
@@ -141,7 +141,7 @@ class FaultEngine final : public FaultInjector {
     obs::Counter* crashes = nullptr;
   };
   Metrics metrics_{};
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::FlightRecorder* flight_;
 };
 
 /// Decorator form: wraps a caller-owned BlockStore by attaching a private

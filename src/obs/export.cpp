@@ -518,19 +518,4 @@ std::string to_json_with_spans(const Registry& reg,
   return spliced;
 }
 
-std::string trace_to_json(const TraceRing& ring) {
-  std::string out = "[\n";
-  bool first = true;
-  for (const TraceEvent& e : ring.snapshot()) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "  {\"seq\": " + fmt_u64(e.seq) + ", \"t_ns\": " + fmt_u64(e.t_ns) +
-           ", \"type\": " + json_str(std::string(event_type_name(e.type))) +
-           ", \"a\": " + fmt_u64(e.a) + ", \"b\": " + fmt_u64(e.b) +
-           ", \"c\": " + fmt_u64(e.c) + ", \"d\": " + fmt_u64(e.d) + "}";
-  }
-  out += "\n]\n";
-  return out;
-}
-
 }  // namespace wafl::obs

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace wafl::obs {
 
@@ -23,9 +22,6 @@ std::string to_prometheus(const Registry& reg);
 /// "histograms": [...]}.  Histogram entries carry summary stats
 /// (count/sum/mean/p50/p90/p99) plus their non-empty buckets.
 std::string to_json(const Registry& reg);
-
-/// JSON array of the ring's current events, oldest first.
-std::string trace_to_json(const TraceRing& ring);
 
 /// Chrome trace_event JSON (Perfetto / chrome://tracing loadable): one
 /// complete event (ph "X") per span, ts/dur in microseconds relative to

@@ -32,17 +32,13 @@ std::string counter_key(const Registry::Entry& e) {
 }  // namespace
 
 FlightRecorder& flight_recorder() {
-  static FlightRecorder fr;
+  static FlightRecorder fr(registry());
   return fr;
-}
-
-Registry& FlightRecorder::source() const {
-  return reg_ != nullptr ? *reg_ : registry();
 }
 
 void FlightRecorder::mark() {
   std::vector<std::pair<std::string, std::uint64_t>> base;
-  for (const Registry::Entry& e : source().entries()) {
+  for (const Registry::Entry& e : reg_->entries()) {
     if (e.kind != Registry::Kind::kCounter) continue;
     base.emplace_back(counter_key(e), e.counter->value());
   }
@@ -127,7 +123,7 @@ std::string FlightRecorder::dump(std::size_t max_spans) const {
   }
 
   std::string deltas;
-  for (const Registry::Entry& e : source().entries()) {
+  for (const Registry::Entry& e : reg_->entries()) {
     if (e.kind != Registry::Kind::kCounter) continue;
     const std::uint64_t cur = e.counter->value();
     const auto it = base.find(counter_key(e));

@@ -5,10 +5,11 @@
 // fault engine note() the exact trigger as it fires; on any invariant
 // failure the harness dump()s — recent spans since the mark, the notes,
 // and every counter that moved — so a WAFL_CRASH_SEED repro line ships
-// with a timeline instead of a bare seed.  All state is process-global
-// (like registry()/spans()) and cheap enough to leave armed everywhere;
-// note() is off the hot path by construction (it fires on crashes, not
-// per block).
+// with a timeline instead of a bare seed.  One recorder is process-global
+// (flight_recorder(), bound to registry()); a wafl::RuntimeBundle owns one
+// per aggregate, bound to its own registry.  Cheap enough to leave armed
+// everywhere; note() is off the hot path by construction (it fires on
+// crashes, not per block).
 #pragma once
 
 #include <cstddef>
@@ -24,23 +25,18 @@ namespace wafl::obs {
 class FlightRecorder;
 class Registry;
 
-/// Process-global recorder.
+/// Process-global recorder, bound to registry().
 FlightRecorder& flight_recorder();
 
 class FlightRecorder {
  public:
-  FlightRecorder() = default;
+  /// mark()/dump() snapshot the counters of `reg`.
+  explicit FlightRecorder(Registry& reg) : reg_(&reg) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Points mark()/dump() counter snapshots at `reg` instead of the
-  /// process-global registry (per-aggregate runtimes — wafl::RuntimeBundle
-  /// binds its recorder to its own registry).  Null reverts to the global.
-  /// Set before concurrent use; the binding itself is not synchronized.
-  void bind_registry(Registry* reg) noexcept { reg_ = reg; }
-
   /// Starts (or restarts) an observation window: snapshots every counter
-  /// in the global registry and timestamps the mark.  dump() reports
+  /// in the bound registry and timestamps the mark.  dump() reports
   /// deltas and spans relative to the latest mark.
   void mark();
 
@@ -58,9 +54,6 @@ class FlightRecorder {
   void clear();
 
  private:
-  /// The bound registry, or the process-global one.
-  Registry& source() const;
-
   struct Note {
     std::uint64_t t_ns;
     std::string tag;
@@ -68,7 +61,7 @@ class FlightRecorder {
     std::uint64_t detail;
   };
 
-  Registry* reg_ = nullptr;
+  Registry* const reg_;
   mutable std::mutex mu_;
   std::vector<Note> notes_;
   std::vector<std::pair<std::string, std::uint64_t>> baseline_;  // name{labels}

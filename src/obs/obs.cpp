@@ -7,14 +7,8 @@ Registry& registry() {
   return r;
 }
 
-TraceRing& trace() {
-  static TraceRing t;
-  return t;
-}
-
 void reset_all() {
   registry().reset();
-  trace().clear();
   spans().clear();
   flight_recorder().clear();
 }

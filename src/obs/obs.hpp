@@ -1,5 +1,5 @@
-// wafl::obs — umbrella header: compile-time gate, global registry/trace
-// singletons, and the WAFL_OBS() instrumentation macro.
+// wafl::obs — umbrella header: compile-time gate, the global registry
+// singleton, and the WAFL_OBS() instrumentation macro.
 //
 // Gating strategy: the obs *library* is always compiled (its unit tests
 // run in both configurations), but instrumentation call sites wrap
@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 #ifndef WAFL_OBS_ENABLED
 #define WAFL_OBS_ENABLED 1
@@ -28,11 +27,8 @@ inline constexpr bool kEnabled = WAFL_OBS_ENABLED != 0;
 /// paths resolve their metrics once and cache the references.
 Registry& registry();
 
-/// Process-global event trace ring.
-TraceRing& trace();
-
-/// Zeroes the global registry and clears the trace, the span buffers and
-/// the flight recorder — test/bench isolation.  (The span collector and
+/// Zeroes the global registry and clears the span buffers and the flight
+/// recorder — test/bench isolation.  (The span collector and
 /// flight recorder singletons live in span.hpp / flight_recorder.hpp:
 /// obs::spans(), obs::flight_recorder().)
 void reset_all();

@@ -1,7 +1,8 @@
 // wafl::obs spans — causal, timed intervals over the CP pipeline.
 //
-// Where TraceRing records point events ("a tetris flushed"), spans record
-// *intervals with ancestry*: every span knows its parent, and parentage
+// Spans and the metrics registry are the one event substrate: counters
+// and histograms say how much, spans say when and under what.  A span is
+// an *interval with ancestry*: every span knows its parent, and parentage
 // survives ThreadPool fan-outs because the pool propagates the opened
 // span's id through util's task-context word (src/util/task_context.hpp)
 // into every worker task.  The result is a tree per CP — root span,
@@ -187,7 +188,7 @@ class SpanCollector {
   std::atomic<std::uint64_t> next_id_{0};
 };
 
-/// Process-global collector (parallels obs::registry()/obs::trace()).
+/// Process-global collector (parallels obs::registry()).
 SpanCollector& spans();
 
 /// Runtime capture gate, default OFF.  Flipping it on/off is safe at any

@@ -30,7 +30,7 @@ Aggregate::Aggregate(const AggregateConfig& cfg, std::uint64_t rng_seed,
       topaa_store_(cfg.raid_groups.size() * TopAaFile::kRaidAgnosticBlocks),
       activemap_(sum_data_blocks(cfg), &meta_store_, 0),
       walloc_(cfg.policy, cfg.rg_skip_free_fraction, rng_, activemap_,
-              topaa_store_, &runtime_),
+              topaa_store_, runtime_),
       owner_(sum_data_blocks(cfg), kNoOwner) {
   WAFL_ASSERT(!cfg.raid_groups.empty());
   Vbn base = 0;
@@ -73,7 +73,7 @@ std::uint64_t Aggregate::freeze_cp_generation() {
 FlexVol& Aggregate::add_volume(const FlexVolConfig& vcfg) {
   const auto id = static_cast<VolumeId>(volumes_.size());
   volumes_.push_back(
-      std::make_unique<FlexVol>(id, vcfg, rng_.next(), &runtime_));
+      std::make_unique<FlexVol>(id, vcfg, rng_.next(), runtime_));
   return *volumes_.back();
 }
 

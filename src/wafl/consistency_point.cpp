@@ -112,7 +112,6 @@ ConsistencyPoint::Frozen ConsistencyPoint::freeze(
     obs::Counter& count = CpMetrics(agg.runtime()).count;
     count.inc();
     frozen.cp_no = static_cast<std::uint32_t>(count.value());
-    obs::trace().emit(obs::EventType::kCpBegin, frozen.cp_no, dirty.size());
   });
   obs::TraceSpan freeze_span(obs::SpanKind::kCpFreeze, frozen.cp_no,
                              dirty.size());
@@ -218,13 +217,12 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   agg.finish_cp(stats);
   agg_finish_span.end();
 
-  // Fold this CP's stats into the global registry (one batch of adds per
-  // CP) and close out the trace.
+  // Fold this CP's stats into the runtime's registry (one batch of adds
+  // per CP).
   WAFL_OBS({
     CpMetrics m(agg.runtime());
     m.phase_boundary_ns.record(static_cast<double>(phase_timer.lap()));
-    const std::uint64_t dur_ns = obs::monotonic_ns() - cp_start_ns;
-    m.total_ns.record(static_cast<double>(dur_ns));
+    m.total_ns.record(static_cast<double>(obs::monotonic_ns() - cp_start_ns));
     m.ops.add(stats.ops);
     m.blocks_written.add(stats.blocks_written);
     m.blocks_freed.add(stats.blocks_freed);
@@ -239,8 +237,6 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
     m.vol_bits_scanned.add(stats.vol_bits_scanned);
     m.agg_bits_scanned.add(stats.agg_bits_scanned);
     m.storage_time_ns.record(static_cast<double>(stats.storage_time_ns));
-    obs::trace().emit(obs::EventType::kCpEnd, cp_no, stats.blocks_written,
-                      stats.blocks_freed, dur_ns);
   });
   return stats;
 }

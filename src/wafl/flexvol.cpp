@@ -34,8 +34,8 @@ AaId pick_random_nonempty_aa(const AaScoreBoard& board, Rng& rng,
 }
 
 FlexVol::FlexVol(VolumeId id, const FlexVolConfig& cfg, std::uint64_t rng_seed,
-                 const Runtime* rt)
-    : rt_(rt != nullptr ? rt : &process_runtime()),
+                 const Runtime& rt)
+    : rt_(&rt),
       id_(id),
       cfg_(cfg),
       rng_(rng_seed),
@@ -106,11 +106,7 @@ bool FlexVol::ensure_cursor(CpStats& stats) {
         // better score ranges are stranded outside the list.
         cache_.build(board_);
         ++stats.hbps_replenishes;
-        WAFL_OBS({
-          metrics_.hbps_replenishes->inc();
-          obs::trace().emit(obs::EventType::kHbpsReplenish, id_,
-                            layout_.aa_count());
-        });
+        WAFL_OBS(metrics_.hbps_replenishes->inc());
       }
       const auto pick = cache_.take_best();
       if (!pick.has_value()) return false;
@@ -143,8 +139,6 @@ bool FlexVol::ensure_cursor(CpStats& stats) {
     WAFL_OBS({
       metrics_.checkouts->inc();
       metrics_.checkout_free_frac->record(free_frac);
-      obs::trace().emit(obs::EventType::kAaCheckout, id_, aa, board_.score(aa),
-                        layout_.aa_capacity(aa));
     });
     cursor_aa_ = aa;
     cursor_pos_ = layout_.aa_begin(aa);
@@ -344,21 +338,13 @@ void FlexVol::finish_cp(CpStats& stats) {
     cache_.apply_changes(changes);
     for (const AaId aa : retired_) {
       cache_.insert(aa, board_.score(aa));
-      WAFL_OBS({
-        metrics_.putbacks->inc();
-        obs::trace().emit(obs::EventType::kAaPutback, id_, aa,
-                          board_.score(aa));
-      });
+      WAFL_OBS(metrics_.putbacks->inc());
     }
     retired_.clear();
     if (cache_.needs_replenish()) {
       cache_.build(board_);
       ++stats.hbps_replenishes;
-      WAFL_OBS({
-        metrics_.hbps_replenishes->inc();
-        obs::trace().emit(obs::EventType::kHbpsReplenish, id_,
-                          layout_.aa_count());
-      });
+      WAFL_OBS(metrics_.hbps_replenishes->inc());
     }
   }
 

@@ -57,9 +57,10 @@ struct FlexVolConfig {
 class FlexVol {
  public:
   /// `rt` scopes the volume's metric handles and mount-scan pool; the
-  /// owning Aggregate passes its own runtime (null: process default).
+  /// owning Aggregate passes its own runtime, which must outlive the
+  /// volume.
   FlexVol(VolumeId id, const FlexVolConfig& cfg, std::uint64_t rng_seed,
-          const Runtime* rt = nullptr);
+          const Runtime& rt = process_runtime());
 
   VolumeId id() const noexcept { return id_; }
   const FlexVolConfig& config() const noexcept { return cfg_; }

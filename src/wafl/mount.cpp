@@ -90,9 +90,6 @@ MountReport mount_all(Aggregate& agg, bool use_topaa) {
     reg.counter("wafl.mount.vols_seeded", l).add(report.vols_seeded);
     reg.counter("wafl.mount.gate_block_reads", l)
         .add(report.gate_block_reads);
-    obs::trace().emit(obs::EventType::kTopAaMount,
-                      report.used_topaa ? 1u : 0u, report.rgs_seeded,
-                      report.vols_seeded, report.gate_block_reads);
   });
   return report;
 }

@@ -49,10 +49,6 @@ void DrainExecutor::worker_loop() {
 
 // --- Runtime ---------------------------------------------------------------
 
-CpPhaseProfile& Runtime::cp_phase_profile() const {
-  return profile_ != nullptr ? *profile_ : ::wafl::cp_phase_profile();
-}
-
 std::string Runtime::labels(std::string_view base) const {
   if (agg_id_.empty()) return std::string(base);
   std::string out = "agg=\"" + agg_id_ + "\"";
@@ -71,20 +67,19 @@ const Runtime& process_runtime() {
 // --- RuntimeBundle ---------------------------------------------------------
 
 RuntimeBundle::RuntimeBundle(std::string id)
-    : agg_id(std::move(id)), profile(std::make_unique<CpPhaseProfile>()) {
-  flight.bind_registry(&registry);
-  hooks.bind_obs(&registry, &flight);
-}
+    : agg_id(std::move(id)),
+      flight(registry),
+      hooks(registry, flight),
+      profile(std::make_unique<CpPhaseProfile>()) {}
 
 RuntimeBundle::~RuntimeBundle() = default;
 
 Runtime RuntimeBundle::runtime(ThreadPool* pool, DrainExecutor* exec) {
   return Runtime{}
       .with_agg_id(agg_id)
-      .with_registry(&registry)
-      .with_flight_recorder(&flight)
-      .with_crash_hooks(&hooks)
-      .with_cp_phase_profile(profile.get())
+      .with_registry(registry)
+      .with_crash_hooks(hooks)
+      .with_cp_phase_profile(*profile)
       .with_pool(pool)
       .with_drain_executor(exec);
 }

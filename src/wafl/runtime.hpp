@@ -1,35 +1,34 @@
 // wafl::Runtime — the per-aggregate execution context (DESIGN.md §16).
 //
 // Historically every service an aggregate needs was process-global: the
-// obs registry, the span collector, the flight recorder, the crash-hook
-// registry, and a nullable raw `ThreadPool*` default argument threaded
-// ad hoc through the CP, mount, Iron and scan paths.  One process could
-// therefore simulate exactly one aggregate: a second instance would alias
-// its rg="N"/vol="N" metric labels, share armed crash hooks, and spawn a
-// private drain thread per OverlappedCpDriver.
+// obs registry, the crash-hook registry, the phase profile, and a
+// nullable raw `ThreadPool*` default argument threaded ad hoc through the
+// CP, mount, Iron and scan paths.  One process could therefore simulate
+// exactly one aggregate: a second instance would alias its rg="N"/vol="N"
+// metric labels, share armed crash hooks, and spawn a private drain
+// thread per OverlappedCpDriver.
 //
 // Runtime makes the context explicit.  It is a small copyable value of
 // non-owning handles:
 //
 //   - an obs Registry scope (plus an `agg="<id>"` label dimension merged
 //     into every labelled metric the aggregate registers),
-//   - a SpanCollector handle (the span *timeline* stays process-wide by
-//     design — parent propagation rides the shared ThreadPool's task
-//     context, so one fleet produces one coherent timeline; the handle
-//     exists so a harness can point dumps at a private collector),
-//   - a FlightRecorder, bound to the runtime's registry,
 //   - a CrashHooks registry (so a FaultPlan armed on aggregate A cannot
 //     fire inside aggregate B — invariants I-A..I-D are per-runtime),
 //   - a CpPhaseProfile (per-aggregate phase accounting),
 //   - a *shared* ThreadPool handle and a capped DrainExecutor for
 //     overlapped-CP drains.
 //
-// Every handle is nullable; a null handle falls back to the matching
-// process-global singleton, so `Runtime{}` (== process_runtime()) is
-// byte-for-byte the old behaviour and single-aggregate call sites stay
-// source-compatible.  RuntimeBundle owns one full set of per-aggregate
-// instances and wires them together — the fleet driver holds one bundle
-// per member.
+// The registry, hook and profile handles are never null: a default
+// Runtime points them at the process singletons, so `Runtime{}` (==
+// process_runtime()) is the single-aggregate behaviour.  The span
+// timeline is not a handle at all — it stays process-wide by design
+// (parent propagation rides the shared ThreadPool's task context, so one
+// fleet produces one coherent timeline).  RuntimeBundle owns one full set
+// of per-aggregate instances and wires them together — the fleet driver
+// holds one bundle per member.  The pool and drain-executor handles are
+// the only nullable ones; null there means "run serially" and "own a
+// private drain thread", not a fallback to some other instance.
 //
 // Drain-executor rule: overlapped-CP drains must NEVER run as ThreadPool
 // tasks.  A drain occupying a pool worker blocks inside parallel_for
@@ -88,26 +87,16 @@ class DrainExecutor {
   std::vector<std::thread> workers_;
 };
 
+/// The process-global phase profile (write_allocator.hpp).
+CpPhaseProfile& cp_phase_profile();
+
 class Runtime {
  public:
-  Runtime() = default;
-
-  // --- Scoped services (null handle => process-global fallback) ----------
-  obs::Registry& registry() const {
-    return registry_ != nullptr ? *registry_ : obs::registry();
-  }
-  obs::SpanCollector& spans() const {
-    return spans_ != nullptr ? *spans_ : obs::spans();
-  }
-  obs::FlightRecorder& flight_recorder() const {
-    return flight_ != nullptr ? *flight_ : obs::flight_recorder();
-  }
-  fault::CrashHooks& crash_hooks() const {
-    return hooks_ != nullptr ? *hooks_ : fault::crash_hooks();
-  }
-  /// Per-aggregate phase accounting (out of line: CpPhaseProfile lives in
-  /// write_allocator.hpp, which includes this header).
-  CpPhaseProfile& cp_phase_profile() const;
+  // --- Scoped services ---------------------------------------------------
+  obs::Registry& registry() const noexcept { return *registry_; }
+  fault::CrashHooks& crash_hooks() const noexcept { return *hooks_; }
+  /// Per-aggregate phase accounting.
+  CpPhaseProfile& cp_phase_profile() const noexcept { return *profile_; }
 
   /// The shared worker pool (null: every parallel phase runs serially —
   /// the same code path, bit-identical results).
@@ -129,24 +118,16 @@ class Runtime {
     agg_id_ = std::move(id);
     return *this;
   }
-  Runtime& with_registry(obs::Registry* r) {
-    registry_ = r;
+  Runtime& with_registry(obs::Registry& r) {
+    registry_ = &r;
     return *this;
   }
-  Runtime& with_spans(obs::SpanCollector* s) {
-    spans_ = s;
+  Runtime& with_crash_hooks(fault::CrashHooks& h) {
+    hooks_ = &h;
     return *this;
   }
-  Runtime& with_flight_recorder(obs::FlightRecorder* f) {
-    flight_ = f;
-    return *this;
-  }
-  Runtime& with_crash_hooks(fault::CrashHooks* h) {
-    hooks_ = h;
-    return *this;
-  }
-  Runtime& with_cp_phase_profile(CpPhaseProfile* p) {
-    profile_ = p;
+  Runtime& with_cp_phase_profile(CpPhaseProfile& p) {
+    profile_ = &p;
     return *this;
   }
   Runtime& with_pool(ThreadPool* p) {
@@ -160,24 +141,22 @@ class Runtime {
 
  private:
   std::string agg_id_;
-  obs::Registry* registry_ = nullptr;
-  obs::SpanCollector* spans_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  fault::CrashHooks* hooks_ = nullptr;
-  CpPhaseProfile* profile_ = nullptr;
+  obs::Registry* registry_ = &obs::registry();
+  fault::CrashHooks* hooks_ = &fault::crash_hooks();
+  CpPhaseProfile* profile_ = &::wafl::cp_phase_profile();
   ThreadPool* pool_ = nullptr;
   DrainExecutor* drain_exec_ = nullptr;
 };
 
-/// The process-default context: every handle null, so every service is
-/// the matching process-global singleton.  What `Aggregate` uses when
+/// The process-default context: every service is the matching
+/// process-global singleton, with no pool.  What `Aggregate` uses when
 /// constructed without an explicit Runtime.
 const Runtime& process_runtime();
 
-/// One aggregate's owned service instances, wired together: the flight
-/// recorder snapshots *this* registry, crash hooks count/note into *this*
-/// scope.  Non-movable (Runtime values point into it); keep the bundle
-/// alive for as long as its aggregate.
+/// One aggregate's owned service instances, wired together: crash hooks
+/// count into *this* registry and note into *this* flight recorder, which
+/// snapshots *this* registry.  Non-movable (Runtime values point into
+/// it); keep the bundle alive for as long as its aggregate.
 struct RuntimeBundle {
   explicit RuntimeBundle(std::string agg_id);
   ~RuntimeBundle();
@@ -198,7 +177,6 @@ struct RuntimeBundle {
 
 }  // namespace wafl
 
-/// A named crash point routed through an explicit Runtime.  Source form of
-/// WAFL_CRASH_POINT for code that carries a context — an armed hook in one
-/// aggregate's runtime never fires in another's.
+/// A named crash point routed through an explicit Runtime — an armed hook
+/// in one aggregate's runtime never fires in another's.
 #define WAFL_CRASH_POINT_RT(rt, name) ((rt).crash_hooks().hit(name))

@@ -141,10 +141,6 @@ CleanerReport SegmentCleaner::run(Aggregate& agg) {
     reg.counter("wafl.cleaner.aas_cleaned", l).add(report.aas_cleaned);
     reg.counter("wafl.cleaner.blocks_relocated", l)
         .add(report.blocks_relocated);
-    obs::trace().emit(obs::EventType::kCleanerPass,
-                      static_cast<std::uint32_t>(
-                          reg.counter("wafl.cleaner.passes", l).value()),
-                      report.aas_cleaned, report.blocks_relocated);
   });
   pass_span.set_b(report.blocks_relocated);
   return report;

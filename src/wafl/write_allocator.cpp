@@ -6,6 +6,7 @@
 
 #include "core/aa_sizing.hpp"
 #include "core/scan_pipeline.hpp"
+#include "device/ssd.hpp"
 #include "fault/crash_point.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,8 +19,8 @@ namespace wafl {
 RgAllocator::RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
                          AaSelectPolicy policy, double skip_fraction,
                          Activemap& activemap, BlockStore& topaa_store,
-                         std::uint64_t topaa_base, const Runtime* rt)
-    : rt_(rt != nullptr ? rt : &process_runtime()),
+                         std::uint64_t topaa_base, const Runtime& rt)
+    : rt_(&rt),
       policy_(policy),
       raid_(id, RaidGeometry(rgc.data_devices, rgc.parity_devices,
                              rgc.device_blocks)),
@@ -162,11 +163,7 @@ bool RgAllocator::plan_eligible() {
     // does not read as fragmentation.  Deterministic: the plan is serial
     // and the scan is a pure function of the group's scoreboard.
     hbps_->build(board_);
-    WAFL_OBS({
-      metrics_.hbps_replenishes->inc();
-      obs::trace().emit(obs::EventType::kHbpsReplenish, raid_.id(),
-                        layout_.aa_count());
-    });
+    WAFL_OBS(metrics_.hbps_replenishes->inc());
   }
   const auto best = cache_->peek_best_score();
   return best.has_value() && *best >= skip_threshold_;
@@ -222,11 +219,7 @@ bool RgAllocator::ensure_cursor(CpStats& stats, bool force, Rng& rng) {
       if (hbps_ != nullptr && hbps_->needs_replenish()) {
         // §3.3.2's background scan, for HBPS-managed pools.
         hbps_->build(board_);
-        WAFL_OBS({
-          metrics_.hbps_replenishes->inc();
-          obs::trace().emit(obs::EventType::kHbpsReplenish, raid_.id(),
-                            layout_.aa_count());
-        });
+        WAFL_OBS(metrics_.hbps_replenishes->inc());
       }
       const auto best = cache_->peek_best_score();
       if (!best.has_value()) return false;
@@ -261,8 +254,6 @@ bool RgAllocator::ensure_cursor(CpStats& stats, bool force, Rng& rng) {
     WAFL_OBS({
       metrics_.checkouts->inc();
       metrics_.checkout_free_frac->record(free_frac);
-      obs::trace().emit(obs::EventType::kAaCheckout, raid_.id(), aa,
-                        board_.score(aa), layout_.aa_capacity(aa));
     });
     cursor_aa_ = aa;
     cursor_pos_ = layout_.aa_begin(aa);
@@ -361,9 +352,6 @@ void RgAllocator::flush_window(CpStats& stats) {
   stats.parity_read_blocks += tw.parity_read_blocks;
   stats.write_chains += tw.total_chains();
   stats.blocks_written += tw.data_blocks_written;
-  WAFL_OBS(obs::trace().emit(obs::EventType::kTetris, raid_.id(),
-                             tw.full_stripes + tw.partial_stripes,
-                             tw.data_blocks_written, tw.parity_read_blocks));
 
   // Submit to the device models.  Parity-computation reads are spread
   // evenly across the group's devices.
@@ -425,18 +413,10 @@ BitmapMetafile::FreeDelta RgAllocator::cp_boundary(
   WAFL_OBS(metrics_.scoreboard_changed->add(changes.size()));
   if (policy_ == AaSelectPolicy::kCache) {
     cache_->apply_changes(changes);
-    WAFL_OBS({
-      metrics_.cp_rekeys->add(changes.size());
-      obs::trace().emit(obs::EventType::kHeapRebalance, raid_.id(),
-                        changes.size());
-    });
+    WAFL_OBS(metrics_.cp_rekeys->add(changes.size()));
     for (const AaId aa : retired_) {
       cache_->insert(aa, board_.score(aa));
-      WAFL_OBS({
-        metrics_.putbacks->inc();
-        obs::trace().emit(obs::EventType::kAaPutback, raid_.id(), aa,
-                          board_.score(aa));
-      });
+      WAFL_OBS(metrics_.putbacks->inc());
     }
     retired_.clear();
 
@@ -490,14 +470,38 @@ SimTime RgAllocator::slowest_device_busy() const {
   return slowest;
 }
 
-void RgAllocator::fold_device_metrics() const {
+void RgAllocator::fold_device_metrics() {
   WAFL_OBS({
     for (std::size_t d = 0; d < device_busy_.size(); ++d) {
       const SimTime busy = device_busy_[d];
       if (busy == 0) continue;
       metrics_.device_busy[d]->add(static_cast<std::uint64_t>(busy));
-      obs::trace().emit(obs::EventType::kDeviceIo, raid_.id(), d,
-                        static_cast<std::uint64_t>(busy));
+    }
+    std::uint64_t erases = 0;
+    std::uint64_t relocations = 0;
+    for (const auto* devs : {&data_devices_, &parity_devices_}) {
+      for (const auto& dev : *devs) {
+        if (const auto* ssd = dynamic_cast<const SsdModel*>(dev.get())) {
+          erases += ssd->erases();
+          relocations += ssd->gc_relocations();
+        }
+      }
+    }
+    if (erases != ssd_erases_folded_) {
+      if (metrics_.ssd_erases == nullptr) {
+        obs::Registry& reg = rt_->registry();
+        const std::string l = rt_->labels();
+        metrics_.ssd_collections = &reg.counter("wafl.ssd.gc_collections", l);
+        metrics_.ssd_relocated =
+            &reg.counter("wafl.ssd.gc_relocated_pages", l);
+        metrics_.ssd_erases = &reg.counter("wafl.ssd.erases", l);
+      }
+      // Every GC pass erases exactly one block.
+      metrics_.ssd_collections->add(erases - ssd_erases_folded_);
+      metrics_.ssd_erases->add(erases - ssd_erases_folded_);
+      metrics_.ssd_relocated->add(relocations - ssd_relocations_folded_);
+      ssd_erases_folded_ = erases;
+      ssd_relocations_folded_ = relocations;
     }
   });
 }
@@ -566,8 +570,8 @@ void RgAllocator::reseed_board() {
 
 WriteAllocator::WriteAllocator(AaSelectPolicy policy, double skip_fraction,
                                Rng& rng, Activemap& activemap,
-                               BlockStore& topaa_store, const Runtime* rt)
-    : rt_(rt != nullptr ? rt : &process_runtime()),
+                               BlockStore& topaa_store, const Runtime& rt)
+    : rt_(&rt),
       policy_(policy),
       skip_fraction_(skip_fraction),
       rng_(rng),
@@ -581,7 +585,7 @@ RaidGroupId WriteAllocator::add_group(const RaidGroupConfig& rgc, Vbn base) {
   WAFL_ASSERT(groups_.empty() || base == groups_.back()->end());
   groups_.push_back(std::make_unique<RgAllocator>(
       id, rgc, base, policy_, skip_fraction_, activemap_, topaa_store_,
-      id * TopAaFile::kRaidAgnosticBlocks, rt_));
+      id * TopAaFile::kRaidAgnosticBlocks, *rt_));
   // Growth changes the rotation modulus; keep the pointer inside the new
   // group list so the next CP's rotation starts from a live slot.
   if (rr_next_ >= groups_.size()) {
@@ -1035,8 +1039,8 @@ void WriteAllocator::finish_cp(CpStats& stats) {
   }
   stats.storage_time_ns = std::max(stats.storage_time_ns, slowest);
 
-  // Per-device busy-time fold + completion events (devices in a sim CP
-  // "complete" at the boundary).
+  // Per-device busy-time and FTL fold (devices in a sim CP "complete" at
+  // the boundary).
   for (const auto& rg : groups_) {
     rg->fold_device_metrics();
   }

@@ -59,7 +59,7 @@
 //     serial) and every CpStats fold.
 //
 // The result is bit-identical file-system state and CpStats for any worker
-// count, including none.  Only observability output (trace-event and
+// count, including none.  Only observability output (span and
 // metric-update interleaving) and the order store writes land within one
 // phase are outside the contract — which is also why write-count crash
 // triggers under workers>0 are interleaving-dependent; named crash hooks
@@ -108,12 +108,13 @@ class RgAllocator {
   /// Builds the group's full state from its config: geometry, devices,
   /// layout, scoreboard, and the cache form the media dictates (§3.3).
   /// The group owns the TopAa slot at `topaa_base` of `topaa_store`.
-  /// Metrics, phase profiles and crash points route through `rt` (null:
-  /// the process-default runtime).
+  /// Metrics, phase profiles and crash points route through `rt`, which
+  /// must outlive the group.
   RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
               AaSelectPolicy policy, double skip_fraction,
               Activemap& activemap, BlockStore& topaa_store,
-              std::uint64_t topaa_base, const Runtime* rt = nullptr);
+              std::uint64_t topaa_base,
+              const Runtime& rt = process_runtime());
 
   // --- Structure accessors (re-exported by the Aggregate facade) -----------
   RaidGroupId id() const noexcept { return raid_.id(); }
@@ -196,9 +197,10 @@ class RgAllocator {
   /// Slowest device's busy time this CP.
   SimTime slowest_device_busy() const;
 
-  /// Folds per-device busy time into the cached per-device counters and
-  /// emits device trace events.  Serial, at the CP boundary.
-  void fold_device_metrics() const;
+  /// Folds per-device busy time, and the SSD FTL's GC/erase deltas since
+  /// the last fold, into the runtime's counters.  Serial, at the CP
+  /// boundary.
+  void fold_device_metrics();
 
   // --- Mount (§3.4) and rebuild --------------------------------------------
   /// Seeds the cache from the group's TopAA slot; on damage falls back to
@@ -291,6 +293,10 @@ class RgAllocator {
   std::vector<Vbn> window_writes_;
   std::vector<AaId> retired_;
   std::vector<SimTime> device_busy_;  // data then parity, this CP
+  /// SSD FTL totals (summed over the group's devices) already folded
+  /// into the wafl.ssd.* counters.
+  std::uint64_t ssd_erases_folded_ = 0;
+  std::uint64_t ssd_relocations_folded_ = 0;
 
   /// Staged-allocation mode (execute phase): per-metafile-block count of
   /// bits set via set_allocated_unaccounted(), pending the serial summary
@@ -317,6 +323,11 @@ class RgAllocator {
     obs::Counter* heap_rekeys = nullptr;
     obs::Counter* hbps_rebins = nullptr;
     std::vector<obs::Counter*> device_busy;  // data then parity
+    /// wafl.ssd.* (aggregate-wide), resolved at the first fold that sees
+    /// GC so a group without any exports no zero series.
+    obs::Counter* ssd_collections = nullptr;
+    obs::Counter* ssd_relocated = nullptr;
+    obs::Counter* ssd_erases = nullptr;
   };
   Metrics metrics_{};
 };
@@ -364,11 +375,12 @@ class WriteAllocator {
   /// volume machinery, which stay in Aggregate) and persists TopAA images
   /// into `topaa_store`, one slot of TopAaFile::kRaidAgnosticBlocks per
   /// group.  `rng` drives the kRandom policy.  `rt` supplies the worker
-  /// pool, metric scope and crash-hook registry (null: the process-default
-  /// runtime — global singletons, serial execution).
+  /// pool, metric scope and crash-hook registry; it must outlive the
+  /// engine (default: the process runtime — global singletons, serial
+  /// execution).
   WriteAllocator(AaSelectPolicy policy, double skip_fraction, Rng& rng,
                  Activemap& activemap, BlockStore& topaa_store,
-                 const Runtime* rt = nullptr);
+                 const Runtime& rt = process_runtime());
   ~WriteAllocator();
 
   WriteAllocator(const WriteAllocator&) = delete;

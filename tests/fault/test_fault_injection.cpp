@@ -23,16 +23,16 @@ Block pattern(std::byte fill) {
 TEST(CrashHooks, UnarmedPointIsInert) {
   crash_hooks().disarm_all();
   EXPECT_FALSE(crash_hooks().any_armed());
-  WAFL_CRASH_POINT("test.point");  // must not throw
+  crash_hooks().hit("test.point");  // must not throw
 }
 
 TEST(CrashHooks, NthExecutionFiresAndSelfDisarms) {
   crash_hooks().arm("test.nth", 3);
-  WAFL_CRASH_POINT("test.nth");
-  WAFL_CRASH_POINT("test.nth");
+  crash_hooks().hit("test.nth");
+  crash_hooks().hit("test.nth");
   EXPECT_EQ(crash_hooks().hits("test.nth"), 2u);
   try {
-    WAFL_CRASH_POINT("test.nth");
+    crash_hooks().hit("test.nth");
     FAIL() << "third execution must throw";
   } catch (const CrashPoint& cp) {
     EXPECT_EQ(cp.point(), "test.nth");
@@ -40,14 +40,14 @@ TEST(CrashHooks, NthExecutionFiresAndSelfDisarms) {
   }
   // One crash per arm: the fired point disarmed itself.
   EXPECT_FALSE(crash_hooks().any_armed());
-  WAFL_CRASH_POINT("test.nth");
+  crash_hooks().hit("test.nth");
 }
 
 TEST(CrashHooks, RearmReplacesTrigger) {
   crash_hooks().arm("test.rearm", 5);
-  WAFL_CRASH_POINT("test.rearm");
+  crash_hooks().hit("test.rearm");
   crash_hooks().arm("test.rearm", 1);  // replaces: next execution fires
-  EXPECT_THROW(WAFL_CRASH_POINT("test.rearm"), CrashPoint);
+  EXPECT_THROW(crash_hooks().hit("test.rearm"), CrashPoint);
   crash_hooks().disarm_all();
 }
 

@@ -11,7 +11,9 @@
 //   - label scoping: aggregates sharing one Registry with distinct agg
 //     ids register disjoint `agg="<id>"`-labelled metrics, while an
 //     empty agg id leaves label strings untouched (what keeps
-//     single-aggregate metric exports byte-stable).
+//     single-aggregate metric exports byte-stable);
+//   - the default: `Runtime{}` is the process singletons (registry, crash
+//     hooks, phase profile), which single-aggregate harnesses rely on.
 //
 // tools/check.sh --tsan runs the Fleet.* suite under ThreadSanitizer.
 #include "wafl/fleet.hpp"
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "device/ssd.hpp"
 #include "fault/crash_point.hpp"
 #include "fault/fault.hpp"
 #include "obs/export.hpp"
@@ -128,7 +131,7 @@ TEST(Fleet, CrashOnOneMemberLeavesNeighbourUntouched) {
   fault::FaultPlan plan;
   plan.seed = 99;
   plan.torn_write_prob = 1.0;
-  fault::FaultEngine engine(plan, &a.bundle().registry, &a.bundle().flight);
+  fault::FaultEngine engine(plan, a.bundle().registry, a.bundle().flight);
   a.aggregate().meta_store().set_fault_injector(&engine);
 
   OverlapStats sb;
@@ -199,9 +202,9 @@ TEST(Fleet, SharedRegistryScopesMetricsByAggId) {
   vol.aa_blocks = 4096;
 
   Aggregate a1(acfg, 1,
-               Runtime{}.with_agg_id("a1").with_registry(&shared));
+               Runtime{}.with_agg_id("a1").with_registry(shared));
   Aggregate a2(acfg, 1,
-               Runtime{}.with_agg_id("a2").with_registry(&shared));
+               Runtime{}.with_agg_id("a2").with_registry(shared));
   a1.add_volume(vol);
   a2.add_volume(vol);
 
@@ -228,6 +231,71 @@ TEST(Fleet, SharedRegistryScopesMetricsByAggId) {
   EXPECT_EQ(Runtime{}.labels("rg=\"3\""), "rg=\"3\"");
   EXPECT_EQ(Runtime{}.with_agg_id("x").labels("rg=\"3\""),
             "agg=\"x\",rg=\"3\"");
+}
+
+// A default Runtime routes an aggregate to the process singletons: its CP
+// count lands in obs::registry(), its phase laps in cp_phase_profile(),
+// and a hook armed on fault::crash_hooks() fires inside its CP.
+TEST(Fleet, DefaultRuntimeRoutesToProcessSingletons) {
+  AggregateConfig acfg;
+  acfg.raid_groups = {fleet_hdd_group(16 * 1024)};
+  FlexVolConfig vol;
+  vol.file_blocks = 4'000;
+  vol.vvbn_blocks = kFlatAaBlocks;
+  vol.aa_blocks = 4096;
+  Aggregate agg(acfg, 1, Runtime{});
+  agg.add_volume(vol);
+
+  std::vector<DirtyBlock> dirty;
+  for (std::uint64_t l = 0; l < 512; ++l) dirty.push_back({0, l});
+  obs::Counter& cps = obs::registry().counter("wafl.cp.count");
+  const std::uint64_t cps0 = cps.value();
+  cp_phase_profile().reset();
+  ConsistencyPoint::run(agg, dirty);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(cps.value(), cps0 + 1);
+  }
+  EXPECT_GT(cp_phase_profile().plan_ms, 0.0);
+  EXPECT_GT(cp_phase_profile().boundary_ms, 0.0);
+
+  fault::crash_hooks().arm("cp.before_agg_finish");
+  EXPECT_THROW(ConsistencyPoint::run(agg, dirty), fault::CrashPoint);
+  EXPECT_FALSE(fault::crash_hooks().any_armed());  // it fired
+}
+
+// The SSD FTL's GC counters fold through the aggregate's runtime: a
+// member's registry carries wafl.ssd.* under its agg label, matching its
+// devices' erase counts, and the process-global registry never sees them.
+TEST(Fleet, SsdGcCountersLandInTheMembersRegistry) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  obs::Counter& global = obs::registry().counter("wafl.ssd.erases");
+  const std::uint64_t global0 = global.value();
+  // One small page-mapped SSD group, overwritten well past its physical
+  // pages so the FTL must garbage-collect.
+  FleetMemberConfig cfg = make_member("ssd-gc", MediaType::kSsd, 9);
+  RaidGroupConfig rg = fleet_ssd_group(4096);
+  rg.media.ssd_ftl = SsdFtl::kPageMapped;
+  rg.media.ssd.pages_per_erase_block = 64;
+  rg.aa_stripes = 512;
+  cfg.agg.raid_groups = {rg};
+  for (FlexVolConfig& v : cfg.volumes) v.file_blocks = 2'000;
+  cfg.cps = 16;
+  cfg.blocks_per_cp = 2048;
+  FleetMember m(cfg, nullptr, nullptr);
+  m.run_workload();
+
+  std::uint64_t erases = 0;
+  for (DeviceId d = 0; d < rg.data_devices; ++d) {
+    erases += dynamic_cast<SsdModel&>(m.aggregate().data_device(0, d)).erases();
+  }
+  erases += dynamic_cast<SsdModel&>(m.aggregate().parity_device(0, 0)).erases();
+  ASSERT_GT(erases, 0u);
+  const std::string agg = "agg=\"ssd-gc\"";
+  EXPECT_EQ(m.bundle().registry.counter("wafl.ssd.erases", agg).value(),
+            erases);
+  EXPECT_EQ(global.value(), global0);
 }
 
 // The per-member registry snapshot run_fleet returns is the member's own
