@@ -29,7 +29,7 @@ Aggregate::Aggregate(const AggregateConfig& cfg, std::uint64_t rng_seed,
       meta_store_(bitmap_blocks_for(sum_data_blocks(cfg))),
       topaa_store_(cfg.raid_groups.size() * TopAaFile::kRaidAgnosticBlocks),
       activemap_(sum_data_blocks(cfg), &meta_store_, 0),
-      walloc_(cfg.policy, cfg.rg_skip_free_fraction, rng_, activemap_,
+      walloc_(cfg.policy, cfg.rg_skip_free_fraction, rng_seed, activemap_,
               topaa_store_, runtime_),
       owner_(sum_data_blocks(cfg), kNoOwner) {
   WAFL_ASSERT(!cfg.raid_groups.empty());

@@ -18,8 +18,9 @@ namespace wafl {
 
 RgAllocator::RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
                          AaSelectPolicy policy, double skip_fraction,
-                         Activemap& activemap, BlockStore& topaa_store,
-                         std::uint64_t topaa_base, const Runtime& rt)
+                         std::uint64_t rng_seed, Activemap& activemap,
+                         BlockStore& topaa_store, std::uint64_t topaa_base,
+                         const Runtime& rt)
     : rt_(&rt),
       policy_(policy),
       raid_(id, RaidGeometry(rgc.data_devices, rgc.parity_devices,
@@ -27,6 +28,7 @@ RgAllocator::RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
       base_(base),
       aa_stripes_(rgc.aa_stripes.value_or(
           choose_raid_aa_stripes(media_geometry(rgc.media)))),
+      rng_(rng_seed),
       layout_(AaLayout::raid(base, raid_.geometry(), aa_stripes_)),
       board_(layout_),
       activemap_(activemap),
@@ -132,10 +134,14 @@ std::vector<LeaseRegion> RgAllocator::lease_regions(std::size_t k) const {
 
 bool RgAllocator::checkout(AaId aa) {
   if (heap_ == nullptr) return false;  // HBPS pools are not cleaned
-  return heap_->remove(aa);
+  if (checked_out_aa_ != kInvalidAaId || !heap_->remove(aa)) return false;
+  checked_out_aa_ = aa;
+  return true;
 }
 
 void RgAllocator::checkin(AaId aa) {
+  WAFL_ASSERT(aa == checked_out_aa_);
+  checked_out_aa_ = kInvalidAaId;
   cache_->insert(aa, board_.score(aa));
 }
 
@@ -144,16 +150,13 @@ void RgAllocator::begin_cp() {
 }
 
 std::uint64_t RgAllocator::live_aa_free(AaId aa) const {
-  const BitmapMetafile& map = activemap_.metafile();
-  if (staged_) {
-    // Staged allocations are bit-set but not yet in the summary: edge
-    // blocks (popcount) are exact already; interior blocks subtract the
-    // overlay.  An AA's interior blocks never straddle groups, so the
-    // group-local overlay covers every block the query consults.
-    return map.free_in_range_staged(layout_.aa_begin(aa), layout_.aa_end(aa),
-                                    staged_allocs_, staged_base_);
-  }
-  return map.free_in_range(layout_.aa_begin(aa), layout_.aa_end(aa));
+  // Staged allocations are bit-set but not yet in the summary: edge
+  // blocks (popcount) are exact already; interior blocks subtract the
+  // overlay.  An AA's interior blocks never straddle groups, so the
+  // group-local overlay covers every block the query consults.
+  WAFL_ASSERT(staged_);
+  return activemap_.metafile().free_in_range_staged(
+      layout_.aa_begin(aa), layout_.aa_end(aa), staged_allocs_, staged_base_);
 }
 
 bool RgAllocator::plan_eligible() {
@@ -171,11 +174,23 @@ bool RgAllocator::plan_eligible() {
 
 std::uint64_t RgAllocator::plan_capacity() const {
   // Frees are deferred to the CP boundary, so the bitmap's free count is
-  // an exact bound for the whole CP; subtract blocks the open tetris
-  // window has claimed but not yet bit-set.
-  const std::uint64_t free = activemap_.metafile().free_in_range(base_, end());
-  WAFL_ASSERT(free >= window_writes_.size());
-  return free - window_writes_.size();
+  // an exact bound for the whole CP, less the free bits no fill can reach:
+  // those behind the cursor (the open tetris window's claimed blocks, not
+  // yet bit-set, and blocks an earlier boundary freed behind it) and those
+  // of the cleaner's checked-out AA.
+  const BitmapMetafile& map = activemap_.metafile();
+  WAFL_ASSERT(window_writes_.empty() || cursor_aa_ != kInvalidAaId);
+  std::uint64_t unreachable = 0;
+  if (cursor_aa_ != kInvalidAaId) {
+    unreachable += map.free_in_range(layout_.aa_begin(cursor_aa_), cursor_pos_);
+  }
+  if (checked_out_aa_ != kInvalidAaId) {
+    unreachable += map.free_in_range(layout_.aa_begin(checked_out_aa_),
+                                     layout_.aa_end(checked_out_aa_));
+  }
+  const std::uint64_t free = map.free_in_range(base_, end());
+  WAFL_ASSERT(free >= unreachable);
+  return free - unreachable;
 }
 
 std::uint64_t RgAllocator::plan_cursor_free() const {
@@ -205,7 +220,7 @@ BitmapMetafile::AllocDelta RgAllocator::end_staged_alloc() {
   return d;
 }
 
-bool RgAllocator::ensure_cursor(CpStats& stats, bool force, Rng& rng) {
+bool RgAllocator::ensure_cursor(CpStats& stats) {
   // Candidate selection consults the cache (or random choice), whose
   // scores are only updated at CP boundaries (§3.3); a candidate may have
   // been consumed earlier in THIS CP, so each pick is validated against
@@ -221,31 +236,27 @@ bool RgAllocator::ensure_cursor(CpStats& stats, bool force, Rng& rng) {
         hbps_->build(board_);
         WAFL_OBS(metrics_.hbps_replenishes->inc());
       }
-      const auto best = cache_->peek_best_score();
-      if (!best.has_value()) return false;
-      if (!force && *best < skip_threshold_) return false;
-      aa = cache_->take_best()->aa;
+      const auto pick = cache_->take_best();
+      if (!pick.has_value()) return false;
+      aa = pick->aa;
       if (live_aa_free(aa) == 0) {
         // Stale entry (consumed this CP, or empty since last CP): keep it
         // out of rotation until the boundary re-scores it.
         retired_.push_back(aa);
         continue;
       }
+    } else if (random_attempts++ < 64) {
+      aa = static_cast<AaId>(rng_.below(layout_.aa_count()));
+      if (live_aa_free(aa) == 0) continue;
     } else {
-      if (random_attempts++ < 64) {
-        aa = static_cast<AaId>(rng.below(layout_.aa_count()));
-        if (live_aa_free(aa) == 0) continue;
-      } else {
-        // Random probing keeps missing: linear sweep by live free count.
-        aa = kInvalidAaId;
-        for (AaId i = 0; i < layout_.aa_count(); ++i) {
-          if (live_aa_free(i) > 0) {
-            aa = i;
-            break;
-          }
+      // Random probing keeps missing: linear sweep by live free count.
+      for (AaId i = 0; i < layout_.aa_count(); ++i) {
+        if (live_aa_free(i) > 0) {
+          aa = i;
+          break;
         }
-        if (aa == kInvalidAaId) return false;
       }
+      if (aa == kInvalidAaId) return false;
     }
 
     const double free_frac = static_cast<double>(board_.score(aa)) /
@@ -262,14 +273,14 @@ bool RgAllocator::ensure_cursor(CpStats& stats, bool force, Rng& rng) {
 }
 
 std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
-                                CpStats& stats, bool force, Rng& rng) {
+                                CpStats& stats) {
   obs::TraceSpan span(obs::SpanKind::kRgFill, raid_.id());
   const BitmapMetafile& map = activemap_.metafile();
   const RaidGeometry& geom = raid_.geometry();
   const std::uint64_t bpt = geom.blocks_per_tetris();
 
   for (;;) {
-    if (!ensure_cursor(stats, force, rng)) return 0;
+    if (!ensure_cursor(stats)) return 0;
     const Vbn aa_end = layout_.aa_end(cursor_aa_);
 
     if (window_writes_.empty()) {
@@ -569,12 +580,12 @@ void RgAllocator::reseed_board() {
 // ---------------------------------------------------------------------------
 
 WriteAllocator::WriteAllocator(AaSelectPolicy policy, double skip_fraction,
-                               Rng& rng, Activemap& activemap,
+                               std::uint64_t rng_seed, Activemap& activemap,
                                BlockStore& topaa_store, const Runtime& rt)
     : rt_(&rt),
       policy_(policy),
       skip_fraction_(skip_fraction),
-      rng_(rng),
+      rng_seed_(rng_seed),
       activemap_(activemap),
       topaa_store_(topaa_store) {}
 
@@ -583,9 +594,12 @@ WriteAllocator::~WriteAllocator() = default;
 RaidGroupId WriteAllocator::add_group(const RaidGroupConfig& rgc, Vbn base) {
   const auto id = static_cast<RaidGroupId>(groups_.size());
   WAFL_ASSERT(groups_.empty() || base == groups_.back()->end());
+  // A per-group kRandom stream: execute fans groups out, so no stream is
+  // shared across groups.
   groups_.push_back(std::make_unique<RgAllocator>(
-      id, rgc, base, policy_, skip_fraction_, activemap_, topaa_store_,
-      id * TopAaFile::kRaidAgnosticBlocks, *rt_));
+      id, rgc, base, policy_, skip_fraction_,
+      rng_seed_ ^ (0x9E3779B97F4A7C15ULL * (id + 1ULL)), activemap_,
+      topaa_store_, id * TopAaFile::kRaidAgnosticBlocks, *rt_));
   // Growth changes the rotation modulus; keep the pointer inside the new
   // group list so the next CP's rotation starts from a live slot.
   if (rr_next_ >= groups_.size()) {
@@ -638,41 +652,9 @@ void WriteAllocator::begin_cp() {
   }
 }
 
-bool WriteAllocator::allocate_serial(std::uint64_t n, std::vector<Vbn>& out,
-                                     CpStats& stats) {
-  std::uint64_t remaining = n;
-  bool force = false;
-  while (remaining > 0) {
-    std::uint64_t round_total = 0;
-    for (std::size_t i = 0; i < groups_.size() && remaining > 0; ++i) {
-      RgAllocator& rg = *groups_[rr_next_];
-      rr_next_ = (rr_next_ + 1) % groups_.size();
-      const std::uint64_t got = rg.fill(remaining, out, stats, force, rng_);
-      remaining -= got;
-      round_total += got;
-    }
-    if (round_total == 0) {
-      if (!force) {
-        // Every group declined under the fragmentation threshold; the
-        // allocator must still make progress (§3.3.1's "resume").
-        force = true;
-        continue;
-      }
-      return false;  // genuinely out of space
-    }
-    force = false;
-  }
-  return true;
-}
-
 bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
                               CpStats& stats) {
   if (n == 0) return true;
-  if (policy_ != AaSelectPolicy::kCache || groups_.empty()) {
-    // The kRandom policy draws from the shared rng per probe; its demand
-    // cannot be partitioned up front, so it keeps the serial rotation.
-    return allocate_serial(n, out, stats);
-  }
   ThreadPool* pool = rt_->pool();
   CpPhaseProfile& prof = rt_->cp_phase_profile();
   auto mark = std::chrono::steady_clock::now();
@@ -683,15 +665,14 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
   };
 
   // --- Plan (serial).  Assign every output position to a group using only
-  // CP-start information: the same rotation the serial loop ran, with
-  // §3.3.1's skip bias answered by peek_best_score instead of a checkout.
-  // Chunks are one tetris window (blocks_per_tetris), matching the serial
-  // loop's per-turn granularity; a bias-ineligible group with an open
-  // cursor may still drain that cursor (the serial loop's ensure_cursor
-  // only re-tests the threshold on the NEXT checkout), so its quota is
-  // capped at the cursor's remaining free blocks.  Capacity caps make the
-  // plan exactly executable: frees are deferred, so the free-bit count
-  // cannot shrink under execute's feet.
+  // CP-start information: a round-robin rotation in chunks of one tetris
+  // window's worth of blocks (blocks_per_tetris), with §3.3.1's skip bias
+  // answered by peek_best_score instead of a checkout.  A bias-ineligible
+  // group with an open cursor may still drain that cursor (the bias only
+  // governs the NEXT checkout), so its quota is capped at the cursor's
+  // remaining free blocks.  Exact capacity caps make the plan exactly
+  // executable: frees are deferred, so the reachable free-bit count cannot
+  // shrink under execute's feet.
   //
   // The wa.* spans open/close at the same marks the lap() calls use, so a
   // trace's per-phase times reconcile with CpPhaseProfile.
@@ -744,7 +725,7 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
         force = true;
         continue;
       }
-      break;  // total capacity assigned; the spill below reports the rest
+      break;  // out of space: the unassigned tail is the shortfall
     }
     force = false;
   }
@@ -756,9 +737,10 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
   obs::TraceSpan execute_span(obs::SpanKind::kWaExecute, 0, n - remaining);
 
   // --- Execute (parallel).  Group work lists are disjoint by construction
-  // and every fill touches only group-owned state: its own cache, cursor,
-  // window, devices, and bitmap words (staged mode defers the shared
-  // summary).  Per-group CpStats keep the folds out of the hot loop.
+  // and every fill touches only group-owned state: its own cache or Rng,
+  // cursor, window, devices, and bitmap words (staged mode defers the
+  // shared summary).  Per-group CpStats keep the folds out of the hot
+  // loop.  The plan already applied the skip bias, so fills always force.
   const std::uint64_t planned_total = n - remaining;
   const std::size_t out_base = out.size();
   out.resize(out_base + static_cast<std::size_t>(planned_total));
@@ -778,14 +760,12 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
     WAFL_CRASH_POINT_RT(*rt_, "wa.in_alloc_execute");
     RgAllocator& rg = *groups_[g];
     rg.begin_staged_alloc();
-    Rng unused(0);  // the cache policy never consults it
     std::vector<Vbn>& mine = got[g];
     mine.reserve(static_cast<std::size_t>(plan[g].planned));
     while (mine.size() < plan[g].planned) {
-      if (rg.fill(plan[g].planned - mine.size(), mine, gstats[g],
-                  /*force=*/true, unused) == 0) {
-        break;  // group cannot meet its quota; the spill recovers
-      }
+      const std::uint64_t taken =
+          rg.fill(plan[g].planned - mine.size(), mine, gstats[g]);
+      WAFL_ASSERT_MSG(taken > 0, "plan exceeded the group's capacity");
     }
     deltas[g] = rg.end_staged_alloc();
   };
@@ -803,57 +783,18 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
   // --- Merge (serial, fixed group order): staged summary deltas, stats
   // folds, and the scatter of each group's blocks into its planned output
   // positions.
-  BitmapMetafile& map = activemap_.metafile();
-  std::vector<std::size_t> missing;  // unfilled positions in `out`
   for (std::size_t g = 0; g < ngroups; ++g) {
-    map.apply_alloc_deltas(deltas[g]);
+    activemap_.metafile().apply_alloc_deltas(deltas[g]);
     stats.merge(gstats[g]);
-    std::size_t k = 0;
+    const Vbn* next = got[g].data();
     for (const auto& [p, count] : plan[g].runs) {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        if (k < got[g].size()) {
-          out[out_base + p + i] = got[g][k++];
-        } else {
-          missing.push_back(out_base + p + i);
-        }
-      }
-    }
-  }
-
-  // --- Spill (serial safety net).  A group that could not meet its quota
-  // (execute shortfall) or demand beyond total capacity falls back to the
-  // serial rotation; on genuine exhaustion the unfilled positions are
-  // compacted out so `out` carries exactly the allocated pvbns.
-  bool ok = true;
-  if (!missing.empty() || remaining > 0) {
-    std::sort(missing.begin(), missing.end());
-    std::vector<Vbn> extra;
-    ok = allocate_serial(missing.size() + remaining, extra, stats);
-    std::size_t k = 0;
-    for (; k < missing.size() && k < extra.size(); ++k) {
-      out[missing[k]] = extra[k];
-    }
-    if (k < missing.size()) {
-      std::vector<Vbn> compact;
-      compact.reserve(out.size());
-      std::size_t mi = k;
-      for (std::size_t p = 0; p < out.size(); ++p) {
-        if (mi < missing.size() && p == missing[mi]) {
-          ++mi;
-          continue;
-        }
-        compact.push_back(out[p]);
-      }
-      out.swap(compact);
-      ok = false;
-    }
-    for (; k < extra.size(); ++k) {
-      out.push_back(extra[k]);
+      std::copy_n(next, count, &out[out_base + p]);
+      next += count;
     }
   }
   merge_span.end();
   lap(prof.alloc_merge_ms);
-  return ok;
+  return remaining == 0;
 }
 
 CpPhaseProfile& cp_phase_profile() {

@@ -17,16 +17,17 @@
 //    groups available in an aggregate"), §3.3.1's skip/resume
 //    fragmentation bias, and the CP boundary's phase structure.
 //
-// Plan/execute allocation.  Physical allocation itself is a two-stage
-// pipeline.  A cheap serial PLAN walks the CP's demand and assigns each
-// pvbn-to-be to a RAID group using only CP-start information: the
-// round-robin rotation, §3.3.1's skip bias driven by peek_best_score, and
-// per-group capacity read from the free-count summary.  The plan is a
-// per-group list of contiguous output runs — group-disjoint by
-// construction.  EXECUTE then fans the groups over the ThreadPool: each
-// RgAllocator checks AAs out of its own cache, fills tetris windows,
-// issues writes to its group-owned devices, and stages its activemap bits
-// (set_allocated_unaccounted — bit set now, summary delta folded later).
+// Plan/execute allocation.  Physical allocation, under either policy, is
+// a two-stage pipeline.  A cheap serial PLAN walks the CP's demand and
+// assigns each pvbn-to-be to a RAID group using only CP-start information:
+// the round-robin rotation, §3.3.1's skip bias driven by peek_best_score,
+// and each group's exact capacity.  The plan is a per-group list of
+// contiguous output runs — group-disjoint by construction — that execute
+// always meets.  EXECUTE then fans the groups over the ThreadPool: each
+// RgAllocator picks AAs from its own cache (or its own Rng under
+// kRandom), fills tetris windows, issues writes to its group-owned
+// devices, and stages its activemap bits (set_allocated_unaccounted —
+// bit set now, summary delta folded later).
 // A serial MERGE applies the per-group AllocDeltas to the shared summary
 // and folds per-group CpStats, both in fixed group order.
 //
@@ -108,12 +109,13 @@ class RgAllocator {
   /// Builds the group's full state from its config: geometry, devices,
   /// layout, scoreboard, and the cache form the media dictates (§3.3).
   /// The group owns the TopAa slot at `topaa_base` of `topaa_store`.
-  /// Metrics, phase profiles and crash points route through `rt`, which
-  /// must outlive the group.
+  /// `rng_seed` seeds the group's own kRandom probe stream.  Metrics,
+  /// phase profiles and crash points route through `rt`, which must
+  /// outlive the group.
   RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
               AaSelectPolicy policy, double skip_fraction,
-              Activemap& activemap, BlockStore& topaa_store,
-              std::uint64_t topaa_base,
+              std::uint64_t rng_seed, Activemap& activemap,
+              BlockStore& topaa_store, std::uint64_t topaa_base,
               const Runtime& rt = process_runtime());
 
   // --- Structure accessors (re-exported by the Aggregate facade) -----------
@@ -152,10 +154,11 @@ class RgAllocator {
 
   // --- Segment-cleaner coordination (§3.3.1) -------------------------------
   /// Removes `aa` from the heap so the allocator cannot target it while
-  /// the cleaner relocates its blocks.  False when already out (allocator
-  /// cursor or another checkout) or when the group has no heap.
+  /// the cleaner relocates its blocks.  One AA is out at a time: false
+  /// when `aa` is already out (allocator cursor), another AA is checked
+  /// out, or the group has no heap.
   bool checkout(AaId aa);
-  /// Returns a checked-out AA to the cache at its current board score.
+  /// Returns the checked-out AA to the cache at its current board score.
   void checkin(AaId aa);
 
   // --- CP-side allocation --------------------------------------------------
@@ -163,11 +166,11 @@ class RgAllocator {
   void begin_cp();
 
   /// Allocates up to `need` pvbns from the group's current tetris window,
-  /// checking out a fresh AA when needed; honors the skip threshold unless
-  /// `force`.  Returns the number taken (0 when the group declines or is
-  /// full).  `rng` drives the kRandom policy.
+  /// checking out a fresh AA when needed.  Runs only inside execute's
+  /// staged mode, after the plan has applied §3.3.1's skip bias.  Returns
+  /// the number taken (0 only when the group is full).
   std::uint64_t fill(std::uint64_t need, std::vector<Vbn>& out,
-                     CpStats& stats, bool force, Rng& rng);
+                     CpStats& stats);
 
   /// Builds and submits the TetrisWrite for the open window, then marks
   /// the window's blocks allocated.
@@ -231,10 +234,10 @@ class RgAllocator {
   /// deterministic HBPS replenish first if the list is dry, so a drained
   /// list never masquerades as fragmentation.
   bool plan_eligible();
-  /// Exact upper bound on what execute can deliver: free bits in the
-  /// group's range minus blocks already claimed by the open tetris window
-  /// (claimed blocks stay bit-clear until the window flushes).  Exact
-  /// because frees are deferred to the CP boundary.
+  /// Exactly what execute can deliver this CP: the group's free bits
+  /// minus those no fill can reach — behind the cursor (the open tetris
+  /// window's included) and in the cleaner's checked-out AA (DESIGN.md
+  /// §11).
   std::uint64_t plan_capacity() const;
   /// Free blocks remaining in the checked-out cursor AA (0 without one):
   /// what the group can deliver without another checkout — the cursor-
@@ -248,14 +251,13 @@ class RgAllocator {
   /// serial summary merge.
   BitmapMetafile::AllocDelta end_staged_alloc();
 
-  /// Free blocks an AA has RIGHT NOW (activemap view, which unlike the
-  /// scoreboard reflects this CP's own allocations — including staged
-  /// ones, via the overlay, while in staged mode).
+  /// Free blocks an AA has RIGHT NOW in staged mode (activemap view plus
+  /// the staged overlay, which unlike the scoreboard reflects this CP's
+  /// own allocations).
   std::uint64_t live_aa_free(AaId aa) const;
 
-  /// Ensures an AA is checked out; honors the skip threshold unless
-  /// `force`.  False when the group cannot allocate now.
-  bool ensure_cursor(CpStats& stats, bool force, Rng& rng);
+  /// Ensures an AA is checked out.  False when the group is full.
+  bool ensure_cursor(CpStats& stats);
 
   /// Rebuilds the cache from the scoreboard (heap or HBPS form).
   void build_cache();
@@ -274,6 +276,7 @@ class RgAllocator {
   Vbn base_;
   std::uint32_t aa_stripes_;
   AaScore skip_threshold_;  // best-AA score below this => skip the group
+  Rng rng_;                 // kRandom probes
   std::vector<std::unique_ptr<DeviceModel>> data_devices_;
   std::vector<std::unique_ptr<DeviceModel>> parity_devices_;
   AaLayout layout_;
@@ -289,6 +292,7 @@ class RgAllocator {
   std::uint64_t topaa_base_;
 
   AaId cursor_aa_ = kInvalidAaId;
+  AaId checked_out_aa_ = kInvalidAaId;  // the segment cleaner's
   Vbn cursor_pos_ = 0;  // absolute pvbn
   std::vector<Vbn> window_writes_;
   std::vector<AaId> retired_;
@@ -343,7 +347,7 @@ struct CpPhaseProfile {
   // allocate() — the plan/execute pipeline.
   double plan_ms = 0.0;         // serial: per-group quota/run assignment
   double execute_ms = 0.0;      // parallel: per-group tetris fill
-  double alloc_merge_ms = 0.0;  // serial: AllocDelta + stats folds, spill
+  double alloc_merge_ms = 0.0;  // serial: AllocDelta + stats folds
   // finish_cp().
   double windows_ms = 0.0;    // serial: flush open tetris windows
   double owner_ms = 0.0;      // parallel: per-free owner lookup
@@ -374,12 +378,13 @@ class WriteAllocator {
   /// The engine allocates against `activemap` (shared with ownership and
   /// volume machinery, which stay in Aggregate) and persists TopAA images
   /// into `topaa_store`, one slot of TopAaFile::kRaidAgnosticBlocks per
-  /// group.  `rng` drives the kRandom policy.  `rt` supplies the worker
-  /// pool, metric scope and crash-hook registry; it must outlive the
-  /// engine (default: the process runtime — global singletons, serial
-  /// execution).
-  WriteAllocator(AaSelectPolicy policy, double skip_fraction, Rng& rng,
-                 Activemap& activemap, BlockStore& topaa_store,
+  /// group.  `rng_seed` and the group id seed each group's kRandom
+  /// stream.  `rt` supplies the worker pool, metric scope and crash-hook
+  /// registry; it must outlive the engine (default: the process runtime —
+  /// global singletons, serial execution).
+  WriteAllocator(AaSelectPolicy policy, double skip_fraction,
+                 std::uint64_t rng_seed, Activemap& activemap,
+                 BlockStore& topaa_store,
                  const Runtime& rt = process_runtime());
   ~WriteAllocator();
 
@@ -387,9 +392,8 @@ class WriteAllocator {
   WriteAllocator& operator=(const WriteAllocator&) = delete;
   /// Movable so Aggregate stays a return-by-value type (benches build one
   /// in a helper).  The reference members still bind to the original
-  /// aggregate's activemap/rng/stores, so — exactly like Activemap's
-  /// store pointer before this refactor — a moved-to engine is only valid
-  /// when the move is elided or the source aggregate outlives it.
+  /// aggregate's activemap and TopAA store, so a moved-to engine is only
+  /// valid when the move is elided or the source aggregate outlives it.
   WriteAllocator(WriteAllocator&&) = default;
 
   /// Registers a group over [base, base + data blocks).  Ranges must be
@@ -435,17 +439,16 @@ class WriteAllocator {
   /// reads only — safe between CPs, never during a drain.
   std::vector<LeaseRegion> lease_regions(std::size_t per_group) const;
 
-  /// Allocates `n` pvbns in write order, appending to `out`.  Under the
-  /// cache policy this is the plan/execute pipeline: a serial plan fixes
-  /// every group's quota and output positions (round-robin rotation with
-  /// §3.3.1's skip bias, escalating to force when every group declines),
-  /// execute fans the group-disjoint fills over the runtime's pool
-  /// (serially, in group order, when the runtime has none — the same code
-  /// path, so results are bit-identical at any worker count), and a
-  /// serial merge folds the staged summary deltas and per-group stats in
-  /// group order.  The kRandom policy keeps the serial rotation loop.
-  /// False when out of space; `out` then carries exactly the pvbns
-  /// actually allocated.
+  /// Allocates `n` pvbns in write order, appending to `out`, through the
+  /// plan/execute pipeline (both policies): a serial plan fixes every
+  /// group's quota and output positions (round-robin rotation with
+  /// §3.3.1's skip bias, escalating to force when every group declines,
+  /// capped by each group's exact capacity), execute fans the
+  /// group-disjoint fills over the runtime's pool (serially, in group
+  /// order, when the runtime has none — the same code path, so results
+  /// are bit-identical at any worker count), and a serial merge folds the
+  /// staged summary deltas and per-group stats in group order.  False
+  /// when out of space; `out` then carries the planned prefix.
   bool allocate(std::uint64_t n, std::vector<Vbn>& out, CpStats& stats);
 
   /// Records a deferred free against the owning group's scoreboard (the
@@ -477,17 +480,10 @@ class WriteAllocator {
   void seed_occupancy(RaidGroupId rg, double fraction, Rng& rng);
 
  private:
-  /// The pre-split serial rotation loop: fill whichever group the rotation
-  /// points at until demand is met or a forced round yields nothing.
-  /// Remains the whole story for the kRandom policy and serves as the
-  /// safety-net spill path when an executed plan comes up short.
-  bool allocate_serial(std::uint64_t n, std::vector<Vbn>& out,
-                       CpStats& stats);
-
   const Runtime* rt_;
   AaSelectPolicy policy_;
   double skip_fraction_;
-  Rng& rng_;
+  std::uint64_t rng_seed_;
   Activemap& activemap_;
   BlockStore& topaa_store_;
 

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "util/thread_pool.hpp"
+
 namespace wafl {
 namespace {
 
@@ -215,20 +217,105 @@ TEST(Aggregate, ForcedProgressWhenAllGroupsFragmented) {
 }
 
 TEST(Aggregate, OutOfSpaceReturnsFalse) {
-  AggregateConfig cfg;
-  RaidGroupConfig rg;
-  rg.data_devices = 2;
-  rg.parity_devices = 1;
-  rg.device_blocks = 128;
-  rg.media.type = MediaType::kHdd;
-  rg.aa_stripes = 64;
-  cfg.raid_groups = {rg};
-  Aggregate agg(cfg, 1);
-  agg.begin_cp();
-  CpStats stats;
-  std::vector<Vbn> out;
-  EXPECT_FALSE(agg.allocate_pvbns(1000, out, stats));
-  EXPECT_EQ(out.size(), 256u);  // everything there was
+  for (const AaSelectPolicy policy :
+       {AaSelectPolicy::kCache, AaSelectPolicy::kRandom}) {
+    for (const std::size_t groups : {1u, 2u}) {
+      SCOPED_TRACE(std::to_string(groups) + " groups, policy " +
+                   std::to_string(static_cast<int>(policy)));
+      AggregateConfig cfg;
+      RaidGroupConfig rg;
+      rg.data_devices = 2;
+      rg.parity_devices = 1;
+      rg.device_blocks = 128;
+      rg.media.type = MediaType::kHdd;
+      rg.aa_stripes = 64;
+      cfg.raid_groups.assign(groups, rg);
+      cfg.policy = policy;
+      Aggregate agg(cfg, 1);
+      agg.begin_cp();
+      CpStats stats;
+      std::vector<Vbn> out;
+      EXPECT_FALSE(agg.allocate_pvbns(1000, out, stats));
+      EXPECT_EQ(out.size(), 256u * groups);  // everything there was
+      EXPECT_EQ(std::set<Vbn>(out.begin(), out.end()).size(), out.size());
+    }
+  }
+}
+
+// The plan is exact: the AA the segment cleaner has checked out is not
+// counted as capacity, so a group whose only free AA is checked out gets
+// no quota and the demand lands, in full, on the other group.
+TEST(Aggregate, PlanSkipsCheckedOutAas) {
+  ThreadPool two(2);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
+    SCOPED_TRACE(pool == nullptr ? "serial" : "2 workers");
+    Aggregate agg(two_rg_hdd(), 1, Runtime{}.with_pool(pool));
+    agg.begin_cp();
+    CpStats stats;
+    std::vector<Vbn> all;
+    ASSERT_TRUE(agg.allocate_pvbns(agg.total_blocks(), all, stats));
+    agg.finish_cp(stats);
+
+    // Free group 1 entirely and group 0's AA 0 only, then check AA 0 out.
+    agg.begin_cp();
+    const AaLayout& layout0 = agg.rg_layout(0);
+    for (const Vbn v : all) {
+      if (v >= agg.rg_base(1) ||
+          (v >= layout0.aa_begin(0) && v < layout0.aa_end(0))) {
+        agg.defer_free_pvbn(v);
+      }
+    }
+    agg.finish_cp(stats);
+    ASSERT_TRUE(agg.checkout_aa(0, 0));
+
+    agg.begin_cp();
+    std::vector<Vbn> out;
+    ASSERT_TRUE(agg.allocate_pvbns(8000, out, stats));
+    ASSERT_EQ(out.size(), 8000u);
+    EXPECT_EQ(std::set<Vbn>(out.begin(), out.end()).size(), out.size());
+    for (const Vbn v : out) {
+      ASSERT_GE(v, agg.rg_base(1));
+    }
+    agg.checkin_aa(0, 0);
+    agg.finish_cp(stats);
+  }
+}
+
+// Blocks freed behind the allocator's cursor stay unreachable until the
+// cursor leaves its AA (the AA is out of the cache meanwhile), so the plan
+// does not count them: demanding every free block comes up short by
+// exactly those blocks instead of overrunning the group's quota, and the
+// next CP, with the AA re-admitted, can allocate them.
+TEST(Aggregate, PlanSkipsFreesBehindCursor) {
+  for (const AaSelectPolicy policy :
+       {AaSelectPolicy::kCache, AaSelectPolicy::kRandom}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    AggregateConfig cfg = two_rg_hdd(policy);
+    cfg.raid_groups.resize(1);
+    Aggregate agg(cfg, 1);
+    agg.begin_cp();
+    CpStats stats;
+    std::vector<Vbn> first;  // leaves the cursor mid-AA
+    ASSERT_TRUE(agg.allocate_pvbns(1000, first, stats));
+    agg.finish_cp(stats);
+    agg.begin_cp();
+    for (const Vbn v : first) {
+      agg.defer_free_pvbn(v);
+    }
+    agg.finish_cp(stats);
+
+    agg.begin_cp();
+    std::vector<Vbn> out;
+    EXPECT_FALSE(agg.allocate_pvbns(agg.free_blocks(), out, stats));
+    EXPECT_EQ(out.size(), agg.total_blocks() - first.size());
+    agg.finish_cp(stats);
+
+    agg.begin_cp();
+    out.clear();
+    EXPECT_TRUE(agg.allocate_pvbns(first.size(), out, stats));
+    agg.finish_cp(stats);
+    EXPECT_EQ(agg.free_blocks(), 0u);
+  }
 }
 
 TEST(Aggregate, SsdDevicesGetTrimOnFree) {

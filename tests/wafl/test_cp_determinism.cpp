@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -37,9 +38,11 @@ constexpr int kGeometries = 2;
 // takes the biased path too.  Geometry 1: asymmetric widths and media — a
 // narrow SSD group, a wide HDD group and a smaller pool — so the plan's
 // per-group capacities, tetris widths and device timings all differ.
-std::unique_ptr<Aggregate> make_agg(int geometry,
-                                    ThreadPool* pool = nullptr) {
+std::unique_ptr<Aggregate> make_agg(
+    int geometry, ThreadPool* pool = nullptr,
+    AaSelectPolicy policy = AaSelectPolicy::kCache) {
   AggregateConfig cfg;
+  cfg.policy = policy;
   if (geometry == 0) {
     RaidGroupConfig hdd;
     hdd.data_devices = 4;
@@ -196,17 +199,23 @@ void expect_same_state(Aggregate& a, Aggregate& b) {
 // The oracle: a serial run (workers = 0, no pool) of the seeded multi-CP
 // workload, against which every pooled run — including a 1-worker pool,
 // which exercises the parallel code path without concurrency — must be
-// bit-identical, in both geometries.
+// bit-identical, in both geometries, and under kRandom (per-group Rng
+// streams) in geometry 0.
 TEST(CpDeterminism, WorkerCountInvariant) {
-  for (int geo = 0; geo < kGeometries; ++geo) {
-    SCOPED_TRACE("geometry " + std::to_string(geo));
-    auto serial = make_agg(geo);
+  const std::pair<int, AaSelectPolicy> variants[] = {
+      {0, AaSelectPolicy::kCache},
+      {1, AaSelectPolicy::kCache},
+      {0, AaSelectPolicy::kRandom}};
+  for (const auto& [geo, policy] : variants) {
+    SCOPED_TRACE("geometry " + std::to_string(geo) + ", policy " +
+                 std::to_string(static_cast<int>(policy)));
+    auto serial = make_agg(geo, nullptr, policy);
     const auto serial_stats = run_workload(*serial);
 
     for (const std::size_t workers : {1u, 2u, 8u}) {
       SCOPED_TRACE(std::to_string(workers) + " workers");
       ThreadPool pool(workers);
-      auto parallel = make_agg(geo, &pool);
+      auto parallel = make_agg(geo, &pool, policy);
       const auto parallel_stats = run_workload(*parallel);
       ASSERT_EQ(serial_stats.size(), parallel_stats.size());
       for (std::size_t cp = 0; cp < serial_stats.size(); ++cp) {
