@@ -58,7 +58,7 @@ enum class SpanKind : std::uint8_t {
   kCpDrain,   // a=cp ordinal   b=dirty blocks
   kCpIntake,  // a=cp ordinal (generation being filled)   b=blocks admitted
   kCpStall,   // a=cp ordinal draining   b=blocks waiting
-  kCpLeaseDrain,  // a=cp ordinal   b=lease blocks used this generation
+  kCpLeaseDrain,  // never emitted; kept until perfbench stops naming it
   // WriteAllocator::allocate — the plan/execute/merge split.
   kWaPlan,      // a=groups   b=blocks requested
   kWaExecute,   // b=blocks requested

@@ -184,14 +184,6 @@ class Aggregate {
   /// CPs).  Returns the number of staged entries folded.
   std::uint64_t freeze_cp_generation();
 
-  /// Leasable AA runs for the concurrent intake front end (DESIGN.md
-  /// §14): each group's best `per_group` cached AAs in group-id order.
-  /// Const reads of the AA caches; call only while no drain is mutating
-  /// them (the overlapped driver does so inside its freeze window).
-  std::vector<LeaseRegion> lease_regions(std::size_t per_group) const {
-    return walloc_.lease_regions(per_group);
-  }
-
   /// Allocates `n` physical VBNs in write order, appending to `out`.
   /// With a pool in the runtime, the engine's execute phase fans out per
   /// RAID group; results are bit-identical at any worker count (see

@@ -1,6 +1,5 @@
 #include "wafl/overlapped_cp.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -11,11 +10,16 @@
 
 namespace wafl {
 
+namespace {
+/// Source of OverlappedCpDriver::id_; 0 is never issued.
+std::atomic<std::uint64_t> next_driver_id{1};
+}  // namespace
+
 OverlappedCpDriver::OverlappedCpDriver(Aggregate& agg, OverlappedCpConfig cfg)
     : agg_(agg),
       cfg_(cfg),
-      drain_exec_(agg.runtime().drain_executor()),
-      leases_(std::max<std::size_t>(1, cfg.intake_shards)) {
+      id_(next_driver_id.fetch_add(1, std::memory_order_relaxed)),
+      drain_exec_(agg.runtime().drain_executor()) {
   WAFL_ASSERT(cfg_.dirty_high_watermark > 0);
   WAFL_ASSERT(cfg_.intake_shards > 0);
   if (drain_exec_ == nullptr) {
@@ -35,8 +39,6 @@ OverlappedCpDriver::OverlappedCpDriver(Aggregate& agg, OverlappedCpConfig cfg)
       Shard& sh = *shards_.back();
       sh.admitted_metric = &reg.counter("wafl.cp.intake_admitted", label);
       sh.coalesced_metric = &reg.counter("wafl.cp.intake_coalesced", label);
-      sh.lease_hit_metric = &reg.counter("wafl.cp.lease_hits", label);
-      sh.lease_miss_metric = &reg.counter("wafl.cp.lease_misses", label);
     });
   }
   claims_.reserve(agg_.volume_count());
@@ -59,11 +61,13 @@ OverlappedCpDriver::~OverlappedCpDriver() {
 
 std::size_t OverlappedCpDriver::home_shard() {
   // Round-robin thread->shard assignment, sticky per (thread, driver).
+  // Keyed on id_, not `this`: a driver built where a destroyed one lived
+  // must not inherit that driver's shard indices.
   static std::atomic<std::size_t> rr{0};
-  thread_local const OverlappedCpDriver* cached_driver = nullptr;
+  thread_local std::uint64_t cached_id = 0;
   thread_local std::size_t cached_shard = 0;
-  if (cached_driver != this) {
-    cached_driver = this;
+  if (cached_id != id_) {
+    cached_id = id_;
     cached_shard = rr.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   }
   return cached_shard;
@@ -126,23 +130,6 @@ void OverlappedCpDriver::submit_to_shard(std::size_t shard,
       sh.dirty.push_back(b);
       ++added;
     }
-    if (added != 0 && cfg_.lease_aas_per_group != 0) {
-      // Advisory contiguous-run reservation (one fetch_add; see
-      // intake.hpp).  Inside the shard lock so the freeze's all-locks
-      // window never races a reserve.
-      const LeaseGrant g = leases_.reserve(shard, added);
-      if (g.hit) {
-        ++sh.lease_hits;
-        sh.lease_blocks += g.len;
-      } else {
-        ++sh.lease_misses;
-      }
-      WAFL_OBS({
-        if (sh.lease_hit_metric != nullptr) {
-          (g.hit ? sh.lease_hit_metric : sh.lease_miss_metric)->inc();
-        }
-      });
-    }
     WAFL_OBS({
       if (sh.admitted_metric != nullptr) {
         sh.admitted_metric->add(added);
@@ -195,25 +182,8 @@ void OverlappedCpDriver::launch_cp_locked(std::unique_lock<std::mutex>& lk) {
     shard_locks.reserve(shards_.size());
     for (auto& sh : shards_) shard_locks.emplace_back(sh->mu);
 
-    WAFL_CRASH_POINT_RT(agg_.runtime(), "cp.in_lease_drain");
-
-    // Drain + re-arm the advisory leases from the AA caches' current top
-    // picks (const heap reads — no drain is in flight).  A crash past
-    // this point loses only leases and unfrozen intake: blocks that were
-    // never allocated.
-    {
-      obs::TraceSpan lease_span(obs::SpanKind::kCpLeaseDrain,
-                                stats_.cps_started, 0);
-      std::vector<LeaseRegion> regions;
-      if (cfg_.lease_aas_per_group != 0) {
-        regions = agg_.lease_regions(cfg_.lease_aas_per_group);
-      }
-      std::uint64_t lease_used = 0;
-      for (const LeaseDrain& d : leases_.drain_and_rearm(regions)) {
-        lease_used += d.used;
-      }
-      lease_span.set_b(lease_used);
-    }
+    // A crash here loses only unfrozen intake: blocks never allocated.
+    WAFL_CRASH_POINT_RT(agg_.runtime(), "cp.in_freeze");
 
     // Fold shards 0..S-1 — the canonical order — into one batch,
     // releasing each entry's coalescing claim.  O(dirty) total, however
@@ -229,9 +199,6 @@ void OverlappedCpDriver::launch_cp_locked(std::unique_lock<std::mutex>& lk) {
       }
       sh.dirty.clear();
       stats_.blocks_coalesced += std::exchange(sh.coalesced, 0);
-      stats_.lease_hits += std::exchange(sh.lease_hits, 0);
-      stats_.lease_misses += std::exchange(sh.lease_misses, 0);
-      stats_.lease_blocks_reserved += std::exchange(sh.lease_blocks, 0);
     }
     active_count_.store(0, std::memory_order_relaxed);
   }
@@ -329,9 +296,6 @@ OverlapStats OverlappedCpDriver::stats() const {
   for (const auto& shp : shards_) {
     std::lock_guard<std::mutex> sl(shp->mu);
     out.blocks_coalesced += shp->coalesced;
-    out.lease_hits += shp->lease_hits;
-    out.lease_misses += shp->lease_misses;
-    out.lease_blocks_reserved += shp->lease_blocks;
   }
   return out;
 }

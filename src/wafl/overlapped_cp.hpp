@@ -12,11 +12,8 @@
 //     lock; cross-shard coalescing of re-dirtied (vol, logical) blocks
 //     goes through a per-volume AtomicClaimBitmap — racing writers CAS
 //     for the claim and exactly one appends the block to its shard's
-//     dirty list.  Each shard also holds an advisory lease on a
-//     contiguous AA run (IntakeLeases) reserved bump-pointer style, the
-//     Blelloch & Wei constant-time shape;
+//     dirty list;
 //   - start_cp() freezes: with every shard lock held (shard-id order),
-//     leases are drained and re-armed from the AA caches' top picks and
 //     the shards fold into one batch in shard-id order — the canonical
 //     fold order.  ConsistencyPoint::freeze() then swaps the active
 //     generation into the FROZEN one (cheap, no media I/O) and the
@@ -42,8 +39,6 @@
 // (submit_to_shard with a content-keyed shard) produces byte-identical
 // media and stats at ANY writer count, which
 // CpDeterminism.ConcurrentIntakeMatchesSerial checks at T=1/2/4/8.
-// Leases never feed the CP (advisory, score-neutral), so they cannot
-// perturb this; a lease lost to a crash is blocks never allocated.
 #pragma once
 
 #include <atomic>
@@ -58,7 +53,6 @@
 #include "obs/metrics.hpp"
 #include "util/atomic_bitmap.hpp"
 #include "wafl/consistency_point.hpp"
-#include "wafl/intake.hpp"
 #include "wafl/runtime.hpp"
 
 namespace wafl {
@@ -77,9 +71,6 @@ struct OverlappedCpConfig {
   /// and contend only within one; the freeze folds all shards in id
   /// order.  1 reproduces the single-list driver exactly.
   std::size_t intake_shards = 8;
-  /// AA runs per RAID group offered to the lease re-arm at each freeze
-  /// (const top-k heap reads; 0 disables leasing).
-  std::size_t lease_aas_per_group = 2;
 };
 
 /// Cumulative driver counters (monotonic; snapshot via stats()).
@@ -103,8 +94,7 @@ struct OverlapStats {
   /// Sum of gaps from one drain's completion to the next drain's launch
   /// (back-to-back CPs make this the freeze cost plus scheduling).
   std::uint64_t gap_ns = 0;
-  /// Advisory-lease accounting (DESIGN.md §14): batches served from a
-  /// shard's leased run vs. falling through, and blocks granted.
+  /// Never written; kept until perfbench drops intake.lease_hit_ratio.
   std::uint64_t lease_hits = 0;
   std::uint64_t lease_misses = 0;
   std::uint64_t lease_blocks_reserved = 0;
@@ -195,13 +185,8 @@ class OverlappedCpDriver {
     std::mutex mu;
     std::vector<DirtyBlock> dirty;
     std::uint64_t coalesced = 0;
-    std::uint64_t lease_hits = 0;
-    std::uint64_t lease_misses = 0;
-    std::uint64_t lease_blocks = 0;
     obs::Counter* admitted_metric = nullptr;
     obs::Counter* coalesced_metric = nullptr;
-    obs::Counter* lease_hit_metric = nullptr;
-    obs::Counter* lease_miss_metric = nullptr;
   };
 
   /// The calling thread's home shard for this driver (round-robin
@@ -220,6 +205,8 @@ class OverlappedCpDriver {
 
   Aggregate& agg_;
   OverlappedCpConfig cfg_;
+  /// Process-unique (never reused, unlike `this`); keys home_shard().
+  const std::uint64_t id_;
   /// Where drain_main runs.  Points at the runtime's executor, or at
   /// owned_exec_ when the runtime has none.
   DrainExecutor* drain_exec_;
@@ -234,7 +221,6 @@ class OverlappedCpDriver {
   /// shard lock held).
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<AtomicClaimBitmap> claims_;
-  IntakeLeases leases_;
 
   /// Dirty blocks across all shards (claim winners only) — the
   /// backpressure/auto-trigger gauge, updated outside the shard locks.

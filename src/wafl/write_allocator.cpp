@@ -123,15 +123,6 @@ const Hbps& RgAllocator::hbps() const {
   return *hbps_;
 }
 
-std::vector<LeaseRegion> RgAllocator::lease_regions(std::size_t k) const {
-  std::vector<LeaseRegion> out;
-  if (heap_ == nullptr) return out;  // HBPS pools have no cheap top-k read
-  for (const AaPick& p : heap_->top(k)) {
-    out.push_back({id(), layout_.aa_begin(p.aa), layout_.aa_capacity(p.aa)});
-  }
-  return out;
-}
-
 bool RgAllocator::checkout(AaId aa) {
   if (heap_ == nullptr) return false;  // HBPS pools are not cleaned
   if (checked_out_aa_ != kInvalidAaId || !heap_->remove(aa)) return false;
@@ -616,17 +607,6 @@ RaidGroupId WriteAllocator::group_of_pvbn(Vbn v) const {
   }
   WAFL_ASSERT_MSG(false, "pvbn beyond all RAID groups");
   return 0;
-}
-
-std::vector<LeaseRegion> WriteAllocator::lease_regions(
-    std::size_t per_group) const {
-  std::vector<LeaseRegion> out;
-  for (const auto& rg : groups_) {
-    for (const LeaseRegion& r : rg->lease_regions(per_group)) {
-      out.push_back(r);
-    }
-  }
-  return out;
 }
 
 bool WriteAllocator::windows_idle() const {

@@ -83,7 +83,6 @@
 #include "util/rng.hpp"
 #include "wafl/aa_select.hpp"
 #include "wafl/cp_stats.hpp"
-#include "wafl/intake.hpp"
 #include "wafl/media_config.hpp"
 #include "wafl/runtime.hpp"
 
@@ -144,13 +143,6 @@ class RgAllocator {
   Vbn end() const noexcept { return base_ + raid_.geometry().data_blocks(); }
   /// True when no tetris window is open (quiescence check for growth).
   bool window_idle() const noexcept { return window_writes_.empty(); }
-
-  /// The group's current best-`k` AA runs as leasable regions for the
-  /// concurrent intake front end (DESIGN.md §14).  A const read of the
-  /// heap's top picks: nothing is checked out or re-scored, so the CP's
-  /// own allocation pipeline is unaffected (leases stay score-neutral).
-  /// Empty for HBPS pools and while the cache is empty.
-  std::vector<LeaseRegion> lease_regions(std::size_t k) const;
 
   // --- Segment-cleaner coordination (§3.3.1) -------------------------------
   /// Removes `aa` from the heap so the allocator cannot target it while
@@ -432,12 +424,6 @@ class WriteAllocator {
   void freeze_generation() { ++generation_; }
   /// CP generations frozen so far (the in-flight drain's generation id).
   std::uint64_t generation() const noexcept { return generation_; }
-
-  /// Leasable regions for the concurrent intake front end: each group's
-  /// best `per_group` AA runs, concatenated in group-id order (the
-  /// canonical order, so lease assignment is deterministic).  Const heap
-  /// reads only — safe between CPs, never during a drain.
-  std::vector<LeaseRegion> lease_regions(std::size_t per_group) const;
 
   /// Allocates `n` pvbns in write order, appending to `out`, through the
   /// plan/execute pipeline (both policies): a serial plan fixes every

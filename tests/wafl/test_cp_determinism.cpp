@@ -298,8 +298,7 @@ TEST(CpDeterminism, OverlappedMatchesStopTheWorld) {
 // (vol, logical)) and hand writer t of T the shard subset {j : j % T == t}
 // via submit_to_shard: every shard then sees the same subsequence of the
 // batch in the same order at ANY writer count, and the fold — hence the
-// CP, the media, and even the per-shard lease accounting — must be
-// byte-identical to the single-writer run.
+// CP and the media — must be byte-identical to the single-writer run.
 std::size_t shard_of(const DirtyBlock& b, std::size_t shards) {
   std::uint64_t h =
       (static_cast<std::uint64_t>(b.vol) << 32) ^ b.logical;
@@ -350,11 +349,6 @@ TEST(CpDeterminism, ConcurrentIntakeMatchesSerial) {
       EXPECT_EQ(s.cps_completed, base.cps_completed);
       EXPECT_EQ(s.blocks_admitted, base.blocks_admitted);
       EXPECT_EQ(s.blocks_coalesced, base.blocks_coalesced);
-      // Leases are per-shard bump pointers fed one batch per shard per
-      // generation: their accounting is routing-determined too.
-      EXPECT_EQ(s.lease_hits, base.lease_hits);
-      EXPECT_EQ(s.lease_misses, base.lease_misses);
-      EXPECT_EQ(s.lease_blocks_reserved, base.lease_blocks_reserved);
       expect_same_stats(base.cp, s.cp, -1);
       expect_same_state(*serial, *conc);
     }

@@ -170,24 +170,23 @@ TEST(CrashRecovery, CrashDuringOverlap) {
   EXPECT_TRUE(v.ok()) << v.message();
 }
 
-TEST(CrashRecovery, CrashDuringLeaseDrain) {
+TEST(CrashRecovery, CrashDuringFreeze) {
   // The crash fires inside the overlapped driver's freeze with every
-  // shard lock held, before the leases drain and before any shard folds
-  // (DESIGN.md §14).  Two writer threads admitted the first half of the
-  // batch through submit_to_shard and are joined when the hook fires —
-  // what dies is the shards' unfrozen intake plus every outstanding
-  // lease.  Leases are advisory and score-neutral: a lost lease is
-  // byte-for-byte indistinguishable from blocks that were never
-  // allocated, so I-A..I-D must hold over exactly the last committed CP.
+  // shard lock held, before any shard folds (DESIGN.md §14).  Two writer
+  // threads admitted the first half of the batch through submit_to_shard
+  // and are joined when the hook fires — what dies is the shards'
+  // unfrozen intake, byte-for-byte indistinguishable from blocks that
+  // were never allocated, so I-A..I-D must hold over exactly the last
+  // committed CP.
   CrashCaseConfig cfg = base_config(2323);
   cfg.workers = 2;
   cfg.overlapped = true;
   cfg.concurrent_intake = true;
-  cfg.crash_hook = "cp.in_lease_drain";
+  cfg.crash_hook = "cp.in_freeze";
   CrashHarness h(cfg);
   const CrashVerdict v = h.run_all();
   EXPECT_TRUE(v.crashed);
-  EXPECT_EQ(v.crash_point, "cp.in_lease_drain");
+  EXPECT_EQ(v.crash_point, "cp.in_freeze");
   EXPECT_TRUE(v.ok()) << v.message();
   // Nothing of the crash CP reached media: Iron finds nothing stale.
   EXPECT_EQ(v.iron_rewrites, 0u);

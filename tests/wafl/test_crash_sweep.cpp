@@ -73,10 +73,10 @@ constexpr HookChoice kHooks[] = {
     // overlapped case this is while intake is concurrently admitted.
     {"wa.in_overlap_drain", 1, 1},
     // Fires inside the overlapped driver's freeze with every shard lock
-    // held, before leases drain or shards fold (DESIGN.md §14) — so the
-    // crash loses leases and unfrozen intake and nothing else.  Overlapped
-    // driver only; config_for forces `overlapped` for it.
-    {"cp.in_lease_drain", 1, 1},
+    // held, before any shard folds (DESIGN.md §14) — so the crash loses
+    // unfrozen intake and nothing else.  Overlapped driver only;
+    // config_for forces `overlapped` for it.
+    {"cp.in_freeze", 1, 1},
     // Mid-repair hooks: fire inside WAFL Iron, not inside the crash CP.
     // run_crash_cp() skips arming these; maybe_crash_during_repair()
     // corrupts two TopAA slots, recovers, and crashes inside the armed
@@ -109,7 +109,7 @@ CrashCaseConfig config_for(std::uint64_t seed) {
     cfg.crash_hook_nth = rng.between(
         1, cfg.object_store_pool ? hook.max_nth_with_pool
                                  : hook.max_nth_heap_only);
-    if (cfg.crash_hook == "cp.in_lease_drain") cfg.overlapped = true;
+    if (cfg.crash_hook == "cp.in_freeze") cfg.overlapped = true;
   } else if (mode == 1) {
     // Write-count crash (a CP issues ~10–25 metafile writes here).
     cfg.plan.crash_after_writes = rng.between(1, 18);
