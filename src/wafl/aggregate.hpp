@@ -87,19 +87,19 @@ class Aggregate {
     return walloc_.group(rg).board();
   }
   const AaCache& rg_cache(RaidGroupId rg) const {
-    return walloc_.group(rg).cache();
+    return walloc_.group(rg).selector().cache();
   }
   /// The group's heap, for RAID groups only (asserts otherwise).
   const MaxHeapAaCache& rg_heap(RaidGroupId rg) const {
-    return walloc_.group(rg).heap();
+    return walloc_.group(rg).selector().heap();
   }
   /// The group's HBPS, for object-store pools only (asserts otherwise).
   const Hbps& rg_hbps(RaidGroupId rg) const {
-    return walloc_.group(rg).hbps();
+    return walloc_.group(rg).selector().hbps();
   }
   /// True when the group is an object-store pool using the HBPS (§3.3.2).
   bool rg_is_raid_agnostic(RaidGroupId rg) const {
-    return walloc_.group(rg).raid_agnostic();
+    return walloc_.group(rg).selector().has_hbps();
   }
   DeviceModel& data_device(RaidGroupId rg, DeviceId d) {
     return walloc_.group(rg).data_device(d);

@@ -15,51 +15,25 @@ std::uint64_t bitmap_blocks_for(std::uint64_t nbits) {
 
 }  // namespace
 
-AaId pick_random_nonempty_aa(const AaScoreBoard& board, Rng& rng,
-                             AaId exclude) {
-  const AaId n = board.aa_count();
-  WAFL_ASSERT(n > 0);
-  // Random probing succeeds quickly unless nearly everything is full.
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto aa = static_cast<AaId>(rng.below(n));
-    if (aa != exclude && board.score(aa) > 0) return aa;
-  }
-  // Deterministic fallback: linear scan from a random start.
-  const auto start = static_cast<AaId>(rng.below(n));
-  for (AaId i = 0; i < n; ++i) {
-    const AaId aa = (start + i) % n;
-    if (aa != exclude && board.score(aa) > 0) return aa;
-  }
-  return kInvalidAaId;
-}
-
 FlexVol::FlexVol(VolumeId id, const FlexVolConfig& cfg, std::uint64_t rng_seed,
                  const Runtime& rt)
     : rt_(&rt),
       id_(id),
       cfg_(cfg),
-      rng_(rng_seed),
       store_(bitmap_blocks_for(cfg.vvbn_blocks) +
              TopAaFile::kRaidAgnosticBlocks),
       topaa_base_(bitmap_blocks_for(cfg.vvbn_blocks)),
       activemap_(cfg.vvbn_blocks, &store_, 0),
       layout_(AaLayout::flat(0, cfg.vvbn_blocks, cfg.aa_blocks)),
       board_(layout_),
-      cache_(Hbps::Config{/*max_score=*/cfg.aa_blocks,
-                          /*bin_width=*/std::max<std::uint32_t>(
-                              1, cfg.aa_blocks / kHbpsBinCount),
-                          /*list_capacity=*/kHbpsListCapacity}),
+      selector_(layout_, board_, AaCacheKind::kHbps, cfg.policy, rng_seed),
       block_map_(cfg.file_blocks, kInvalidVbn),
       container_map_(cfg.vvbn_blocks, kInvalidVbn),
       snap_held_(cfg.vvbn_blocks),
       delayed_(cfg.vvbn_blocks, cfg.aa_blocks) {
   WAFL_ASSERT(cfg.vvbn_blocks > 0);
   WAFL_ASSERT(cfg.file_blocks <= cfg.vvbn_blocks);
-  if (cfg_.policy == AaSelectPolicy::kCache) {
-    cache_.build(board_);
-  }
   resolve_metrics();
-  bind_cache_counters();
 }
 
 void FlexVol::resolve_metrics() {
@@ -67,110 +41,42 @@ void FlexVol::resolve_metrics() {
     obs::Registry& reg = rt_->registry();
     const std::string vol =
         rt_->labels("vol=\"" + std::to_string(id_) + "\"");
-    metrics_.checkouts = &reg.counter("wafl.vol.aa_checkouts", vol);
-    metrics_.checkout_free_frac = &reg.linear_histogram(
+    AaSelector::Metrics m;
+    m.checkouts = &reg.counter("wafl.vol.aa_checkouts", vol);
+    m.checkout_free_frac = &reg.linear_histogram(
         "wafl.vol.aa_checkout_free_frac", 0.0, 1.0, 64, vol);
-    metrics_.putbacks = &reg.counter("wafl.vol.aa_putbacks", vol);
-    metrics_.scoreboard_changed =
-        &reg.counter("wafl.scoreboard.cp_changed_aas", vol);
-    metrics_.hbps_replenishes = &reg.counter("wafl.hbps.replenishes", vol);
-    // Aggregate-wide (vol-unlabelled): the cache structures tick this
+    m.putbacks = &reg.counter("wafl.vol.aa_putbacks", vol);
+    m.scoreboard_changed = &reg.counter("wafl.scoreboard.cp_changed_aas", vol);
+    m.hbps_replenishes = &reg.counter("wafl.hbps.replenishes", vol);
+    // Aggregate-wide (vol-unlabelled): the HBPS structures tick this
     // directly; every volume in a runtime shares the handle.
-    metrics_.hbps_rebins = &reg.counter("wafl.hbps.rebins", rt_->labels());
+    m.hbps_rebins = &reg.counter("wafl.hbps.rebins", rt_->labels());
+    selector_.bind_metrics(m);
+    delayed_.bind_rebin_counter(m.hbps_rebins);
   });
 }
 
-void FlexVol::bind_cache_counters() {
-  cache_.bind_rebin_counter(metrics_.hbps_rebins);
-  delayed_.bind_rebin_counter(metrics_.hbps_rebins);
-}
-
-bool FlexVol::ensure_cursor(CpStats& stats) {
-  // Cache/board scores only change at CP boundaries (§3.3), so every
-  // candidate is validated against the live activemap before the cursor
-  // commits — an AA consumed earlier in this same CP must be skipped.
-  auto live_free = [this](AaId aa) {
-    return activemap_.metafile().free_in_range(layout_.aa_begin(aa),
-                                               layout_.aa_end(aa));
-  };
-
-  int random_attempts = 0;
-  for (;;) {
-    if (cursor_aa_ != kInvalidAaId) return true;
-
-    AaId aa = kInvalidAaId;
-    if (cfg_.policy == AaSelectPolicy::kCache) {
-      if (cache_.needs_replenish()) {
-        // §3.3.2: the background scan refills the list when the allocator
-        // consumes AAs faster than frees replenish them, or when AAs from
-        // better score ranges are stranded outside the list.
-        cache_.build(board_);
-        ++stats.hbps_replenishes;
-        WAFL_OBS(metrics_.hbps_replenishes->inc());
-      }
-      const auto pick = cache_.take_best();
-      if (!pick.has_value()) return false;
-      aa = pick->aa;
-      if (live_free(aa) == 0) {
-        // Stale cache entry (full AA behind coarse bins, or consumed this
-        // CP): keep it out until the boundary re-scores it.
-        retired_.push_back(aa);
-        continue;
-      }
-    } else {
-      if (random_attempts++ < 64) {
-        aa = pick_random_nonempty_aa(board_, rng_);
-        if (aa == kInvalidAaId || live_free(aa) == 0) continue;
-      } else {
-        aa = kInvalidAaId;
-        for (AaId i = 0; i < layout_.aa_count(); ++i) {
-          if (live_free(i) > 0) {
-            aa = i;
-            break;
-          }
-        }
-        if (aa == kInvalidAaId) return false;
-      }
-    }
-
-    const double free_frac = static_cast<double>(board_.score(aa)) /
-                             static_cast<double>(layout_.aa_capacity(aa));
-    stats.vol_pick_free_frac.add(free_frac);
-    WAFL_OBS({
-      metrics_.checkouts->inc();
-      metrics_.checkout_free_frac->record(free_frac);
-    });
-    cursor_aa_ = aa;
-    cursor_pos_ = layout_.aa_begin(aa);
-    return true;
-  }
-}
-
-void FlexVol::retire_cursor() {
-  WAFL_ASSERT(cursor_aa_ != kInvalidAaId);
-  if (cfg_.policy == AaSelectPolicy::kCache) {
-    retired_.push_back(cursor_aa_);
-  }
-  cursor_aa_ = kInvalidAaId;
-}
-
 Vbn FlexVol::allocate_vvbn(CpStats& stats) {
+  const BitmapMetafile& map = activemap_.metafile();
+  auto live_free = [&](AaId aa) {
+    return map.free_in_range(layout_.aa_begin(aa), layout_.aa_end(aa));
+  };
   for (;;) {
-    const bool ok = ensure_cursor(stats);
+    const bool ok = selector_.ensure(live_free, stats.vol_pick_free_frac,
+                                     &stats.hbps_replenishes);
     WAFL_ASSERT_MSG(ok, "FlexVol out of space");
-    const Vbn end = layout_.aa_end(cursor_aa_);
-    const Vbn v = activemap_.metafile().find_free(cursor_pos_, end);
-    stats.vol_bits_scanned += (v == end ? end : v + 1) - cursor_pos_;
+    const Vbn pos = selector_.pos();
+    const Vbn end = layout_.aa_end(selector_.open_aa());
+    const Vbn v = map.find_free(pos, end);
+    stats.vol_bits_scanned += (v == end ? end : v + 1) - pos;
     if (v == end) {
-      retire_cursor();
+      selector_.retire();
       continue;
     }
-    cursor_pos_ = v + 1;
+    selector_.set_pos(v + 1);
     activemap_.allocate(v);
     board_.note_alloc(v);
-    if (cursor_pos_ == end) {
-      retire_cursor();
-    }
+    if (v + 1 == end) selector_.retire();
     return v;
   }
 }
@@ -324,7 +230,7 @@ std::uint64_t FlexVol::process_delayed_frees(std::size_t max_regions,
 void FlexVol::finish_cp(CpStats& stats) {
   // A volume untouched by this CP has nothing to apply, flush, or persist.
   if (activemap_.metafile().dirty_blocks() == 0 &&
-      activemap_.pending_frees() == 0 && retired_.empty()) {
+      activemap_.pending_frees() == 0 && !selector_.has_retired()) {
     return;
   }
 
@@ -332,55 +238,24 @@ void FlexVol::finish_cp(CpStats& stats) {
   // for overwrites).
   activemap_.apply_deferred_frees();
 
-  const auto changes = board_.apply_cp_deltas();
-  WAFL_OBS(metrics_.scoreboard_changed->add(changes.size()));
-  if (cfg_.policy == AaSelectPolicy::kCache) {
-    cache_.apply_changes(changes);
-    for (const AaId aa : retired_) {
-      cache_.insert(aa, board_.score(aa));
-      WAFL_OBS(metrics_.putbacks->inc());
-    }
-    retired_.clear();
-    if (cache_.needs_replenish()) {
-      cache_.build(board_);
-      ++stats.hbps_replenishes;
-      WAFL_OBS(metrics_.hbps_replenishes->inc());
-    }
-  }
+  selector_.apply_cp();
+  if (selector_.replenish()) ++stats.hbps_replenishes;
 
   stats.vol_meta_blocks += activemap_.metafile().dirty_blocks();
   const std::uint64_t flushed = activemap_.metafile().flush();
   stats.meta_flush_blocks += flushed;
 
-  if (cfg_.policy == AaSelectPolicy::kCache) {
-    TopAaFile topaa(store_, topaa_base_);
-    if (cursor_aa_ != kInvalidAaId) {
-      // The persisted structure must account for EVERY AA: the cursor's
-      // checked-out AA would otherwise be orphaned after a mount (the
-      // cursor does not survive a failover, §3.4).
-      Hbps snapshot = cache_;
-      snapshot.insert(cursor_aa_, board_.score(cursor_aa_));
-      topaa.save_raid_agnostic(snapshot);
-    } else {
-      topaa.save_raid_agnostic(cache_);
-    }
-    stats.meta_flush_blocks += TopAaFile::kRaidAgnosticBlocks;
+  if (const auto image = selector_.encode_topaa()) {
+    TopAaFile(store_, topaa_base_).commit(*image);
+    stats.meta_flush_blocks += image->nblocks;
   }
 }
 
 bool FlexVol::mount_from_topaa() {
   TopAaFile topaa(store_, topaa_base_);
-  auto loaded = topaa.load_raid_agnostic();
-  if (!loaded.has_value()) {
-    scan_rebuild();
-    return false;
-  }
-  // The loaded image arrives with no counter binding; restore ours.
-  cache_ = std::move(*loaded);
-  bind_cache_counters();
-  cursor_aa_ = kInvalidAaId;
-  retired_.clear();
-  return true;
+  if (selector_.load_topaa(topaa)) return true;
+  scan_rebuild();
+  return false;
 }
 
 void FlexVol::rebuild_scoreboard() {
@@ -397,20 +272,14 @@ void FlexVol::rebuild_scoreboard() {
 
 void FlexVol::scan_rebuild() {
   rebuild_scoreboard();
-  cursor_aa_ = kInvalidAaId;
-  retired_.clear();
-  if (cfg_.policy == AaSelectPolicy::kCache) {
-    const auto t0 = std::chrono::steady_clock::now();
-    cache_ = Hbps(cache_.config());
-    bind_cache_counters();
-    cache_.build(board_);
-    scan_profile().build_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-  }
+  const auto t0 = std::chrono::steady_clock::now();
+  selector_.rebuild();
+  scan_profile().build_ns.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()),
+      std::memory_order_relaxed);
 }
 
 }  // namespace wafl

@@ -22,13 +22,11 @@
 #include <vector>
 
 #include "bitmap/activemap.hpp"
-#include "core/hbps.hpp"
-#include "obs/obs.hpp"
+#include "core/aa_selector.hpp"
 #include "core/scoreboard.hpp"
 #include "core/topaa.hpp"
+#include "obs/obs.hpp"
 #include "storage/block_store.hpp"
-#include "util/rng.hpp"
-#include "wafl/aa_select.hpp"
 #include "wafl/cp_stats.hpp"
 #include "wafl/delayed_free.hpp"
 #include "wafl/runtime.hpp"
@@ -181,28 +179,26 @@ class FlexVol {
   // --- Introspection ---------------------------------------------------------
   const Activemap& activemap() const noexcept { return activemap_; }
   const AaScoreBoard& scoreboard() const noexcept { return board_; }
-  const Hbps& cache() const noexcept { return cache_; }
+  const Hbps& cache() const { return selector_.hbps(); }
   const AaLayout& layout() const noexcept { return layout_; }
   BlockStore& store() noexcept { return store_; }
   std::uint64_t free_blocks() const noexcept {
     return activemap_.total_free();
   }
-  /// Free fraction of the AA the cursor is currently filling (test hook).
+  /// The AA the allocator is currently filling, if any (test hook).
   std::optional<AaId> cursor_aa() const noexcept {
-    return cursor_aa_ == kInvalidAaId ? std::nullopt
-                                      : std::optional<AaId>(cursor_aa_);
+    const AaId aa = selector_.open_aa();
+    return aa == kInvalidAaId ? std::nullopt : std::optional<AaId>(aa);
   }
 
  private:
-  /// Ensures the cursor points at an AA with free space; returns false on
-  /// a truly full volume.
-  bool ensure_cursor(CpStats& stats);
-  void retire_cursor();
+  /// Resolves the vol="<id>" metric handles into the selector and the
+  /// delayed-free log.
+  void resolve_metrics();
 
   const Runtime* rt_;
   VolumeId id_;
   FlexVolConfig cfg_;
-  Rng rng_;
 
   /// Backing store: bitmap metafile blocks, then two TopAA blocks.
   BlockStore store_;
@@ -211,11 +207,9 @@ class FlexVol {
   Activemap activemap_;
   AaLayout layout_;
   AaScoreBoard board_;
-  Hbps cache_;
-
-  AaId cursor_aa_ = kInvalidAaId;
-  Vbn cursor_pos_ = 0;
-  std::vector<AaId> retired_;
+  /// The open AA, the HBPS (§3.3.2), the retired list and the kRandom
+  /// stream.
+  AaSelector selector_;
 
   std::vector<Vbn> block_map_;      // logical -> vvbn
   std::vector<Vbn> container_map_;  // vvbn -> pvbn
@@ -237,24 +231,6 @@ class FlexVol {
   Bitmap snap_held_;
   /// Bulk frees from snapshot deletion, reclaimed region by region.
   DelayedFreeLog delayed_;
-
-  /// Obs handles resolved once at construction, labelled vol="<id>" (a
-  /// registry lookup per event would hash the name on every allocation).
-  /// Null when obs is compiled out.
-  struct Metrics {
-    obs::Counter* checkouts = nullptr;
-    obs::LinearHistogram* checkout_free_frac = nullptr;
-    obs::Counter* putbacks = nullptr;
-    obs::Counter* scoreboard_changed = nullptr;
-    obs::Counter* hbps_replenishes = nullptr;
-    /// Bound into cache_ and delayed_ (core never sees the registry).
-    obs::Counter* hbps_rebins = nullptr;
-  };
-  void resolve_metrics();
-  /// (Re)binds the HBPS rebin counters — after construction and whenever
-  /// cache_ is replaced wholesale (TopAA load, scan rebuild).
-  void bind_cache_counters();
-  Metrics metrics_{};
 };
 
 }  // namespace wafl

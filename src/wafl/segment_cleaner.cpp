@@ -24,7 +24,8 @@ AaId pick_candidate(const RgAllocator& group,
         min_free_fraction * static_cast<double>(capacity)) {
       continue;
     }
-    if (!group.heap().contains(aa)) continue;  // checked out elsewhere
+    // Not in the heap: checked out elsewhere.
+    if (!group.selector().heap().contains(aa)) continue;
     if (best == kInvalidAaId || score > best_score) {
       best = aa;
       best_score = score;
@@ -99,7 +100,7 @@ CleanerReport SegmentCleaner::run(Aggregate& agg) {
 
   for (RaidGroupId rg = 0; rg < walloc.group_count(); ++rg) {
     const RgAllocator& group = walloc.group(rg);
-    if (group.raid_agnostic()) continue;  // heap-managed groups only
+    if (group.selector().has_hbps()) continue;  // heap-managed groups only
     while (budget > 0 && empty_aa_count(group) < cfg_.empty_pool_target) {
       const AaId aa =
           pick_candidate(group, cleaned_[rg], cfg_.min_free_fraction);

@@ -22,40 +22,31 @@ RgAllocator::RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
                          BlockStore& topaa_store, std::uint64_t topaa_base,
                          const Runtime& rt)
     : rt_(&rt),
-      policy_(policy),
       raid_(id, RaidGeometry(rgc.data_devices, rgc.parity_devices,
                              rgc.device_blocks)),
       base_(base),
       aa_stripes_(rgc.aa_stripes.value_or(
           choose_raid_aa_stripes(media_geometry(rgc.media)))),
-      rng_(rng_seed),
       layout_(AaLayout::raid(base, raid_.geometry(), aa_stripes_)),
       board_(layout_),
+      // Object-store pool (§3.3.2): bounded-memory HBPS over flat AAs;
+      // RAID group (§3.3.1): exact max-heap over every AA.
+      selector_(layout_, board_,
+                rgc.media.type == MediaType::kObjectStore
+                    ? AaCacheKind::kHbps
+                    : AaCacheKind::kMaxHeap,
+                policy, rng_seed),
       activemap_(activemap),
       topaa_store_(topaa_store),
       topaa_base_(topaa_base) {
   WAFL_ASSERT(rgc.device_blocks % kTetrisStripes == 0);
   WAFL_ASSERT_MSG(raid_.geometry().stripes() % aa_stripes_ == 0,
                   "device size must be a whole number of AAs");
-  const bool raid_agnostic = rgc.media.type == MediaType::kObjectStore;
-  if (raid_agnostic) {
-    // Native redundancy: no RAID geometry (§3.1) — one logical device,
-    // no parity, flat consecutive-VBN AAs.
-    WAFL_ASSERT_MSG(rgc.data_devices == 1 && rgc.parity_devices == 0,
-                    "object-store pools are 1 device, 0 parity");
-    // Object-store pool (§3.3.2): bounded-memory HBPS over flat AAs.
-    auto h = std::make_unique<Hbps>(Hbps::Config{
-        layout_.aa_blocks(),
-        std::max<std::uint32_t>(1, layout_.aa_blocks() / kHbpsBinCount),
-        kHbpsListCapacity});
-    hbps_ = h.get();
-    cache_ = std::move(h);
-  } else {
-    // RAID group (§3.3.1): exact max-heap over every AA.
-    auto h = std::make_unique<MaxHeapAaCache>(layout_.aa_count());
-    heap_ = h.get();
-    cache_ = std::move(h);
-  }
+  // Native redundancy: no RAID geometry (§3.1) — one logical device, no
+  // parity, flat consecutive-VBN AAs.
+  WAFL_ASSERT_MSG(rgc.media.type != MediaType::kObjectStore ||
+                      (rgc.data_devices == 1 && rgc.parity_devices == 0),
+                  "object-store pools are 1 device, 0 parity");
   skip_threshold_ = static_cast<AaScore>(
       skip_fraction * static_cast<double>(layout_.aa_blocks()));
   device_busy_.assign(raid_.geometry().total_devices(), 0);
@@ -65,11 +56,7 @@ RgAllocator::RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
   for (std::uint32_t p = 0; p < rgc.parity_devices; ++p) {
     parity_devices_.push_back(make_device(rgc.media, rgc.device_blocks));
   }
-  if (policy_ == AaSelectPolicy::kCache) {
-    build_cache();
-  }
   resolve_metrics();
-  bind_cache_counters();
 }
 
 void RgAllocator::resolve_metrics() {
@@ -77,63 +64,24 @@ void RgAllocator::resolve_metrics() {
     obs::Registry& reg = rt_->registry();
     const std::string rg =
         rt_->labels("rg=\"" + std::to_string(raid_.id()) + "\"");
-    metrics_.checkouts = &reg.counter("wafl.agg.aa_checkouts", rg);
-    metrics_.checkout_free_frac = &reg.linear_histogram(
+    AaSelector::Metrics m;
+    m.checkouts = &reg.counter("wafl.agg.aa_checkouts", rg);
+    m.checkout_free_frac = &reg.linear_histogram(
         "wafl.agg.aa_checkout_free_frac", 0.0, 1.0, 64, rg);
-    metrics_.putbacks = &reg.counter("wafl.agg.aa_putbacks", rg);
-    metrics_.cp_rekeys = &reg.counter("wafl.heap.cp_rekeys", rg);
-    metrics_.scoreboard_changed =
-        &reg.counter("wafl.scoreboard.cp_changed_aas", rg);
-    metrics_.hbps_replenishes = &reg.counter("wafl.hbps.replenishes", rg);
+    m.putbacks = &reg.counter("wafl.agg.aa_putbacks", rg);
+    m.cp_rekeys = &reg.counter("wafl.heap.cp_rekeys", rg);
+    m.scoreboard_changed = &reg.counter("wafl.scoreboard.cp_changed_aas", rg);
+    m.hbps_replenishes = &reg.counter("wafl.hbps.replenishes", rg);
     // Aggregate-wide (rg-unlabelled) counters the cache structures tick
     // directly; every group in a runtime shares the same handles.
-    metrics_.heap_rekeys = &reg.counter("wafl.heap.rekeys", rt_->labels());
-    metrics_.hbps_rebins = &reg.counter("wafl.hbps.rebins", rt_->labels());
+    m.heap_rekeys = &reg.counter("wafl.heap.rekeys", rt_->labels());
+    m.hbps_rebins = &reg.counter("wafl.hbps.rebins", rt_->labels());
+    selector_.bind_metrics(m);
     for (std::uint32_t d = 0; d < raid_.geometry().total_devices(); ++d) {
       metrics_.device_busy.push_back(&reg.counter(
           "wafl.device.busy_ns", rg + ",dev=\"" + std::to_string(d) + "\""));
     }
   });
-}
-
-void RgAllocator::bind_cache_counters() {
-  if (heap_ != nullptr) {
-    heap_->bind_rekey_counter(metrics_.heap_rekeys);
-  }
-  if (hbps_ != nullptr) {
-    hbps_->bind_rebin_counter(metrics_.hbps_rebins);
-  }
-}
-
-void RgAllocator::build_cache() {
-  if (hbps_ != nullptr) {
-    hbps_->build(board_);
-  } else {
-    heap_->build(board_);
-  }
-}
-
-const MaxHeapAaCache& RgAllocator::heap() const {
-  WAFL_ASSERT_MSG(heap_ != nullptr, "group has no max-heap (HBPS pool)");
-  return *heap_;
-}
-
-const Hbps& RgAllocator::hbps() const {
-  WAFL_ASSERT_MSG(hbps_ != nullptr, "group has no HBPS (RAID group)");
-  return *hbps_;
-}
-
-bool RgAllocator::checkout(AaId aa) {
-  if (heap_ == nullptr) return false;  // HBPS pools are not cleaned
-  if (checked_out_aa_ != kInvalidAaId || !heap_->remove(aa)) return false;
-  checked_out_aa_ = aa;
-  return true;
-}
-
-void RgAllocator::checkin(AaId aa) {
-  WAFL_ASSERT(aa == checked_out_aa_);
-  checked_out_aa_ = kInvalidAaId;
-  cache_->insert(aa, board_.score(aa));
 }
 
 void RgAllocator::begin_cp() {
@@ -151,15 +99,12 @@ std::uint64_t RgAllocator::live_aa_free(AaId aa) const {
 }
 
 bool RgAllocator::plan_eligible() {
-  if (policy_ != AaSelectPolicy::kCache) return true;
-  if (hbps_ != nullptr && hbps_->needs_replenish()) {
-    // §3.3.2's background scan — run it at plan time so a drained list
-    // does not read as fragmentation.  Deterministic: the plan is serial
-    // and the scan is a pure function of the group's scoreboard.
-    hbps_->build(board_);
-    WAFL_OBS(metrics_.hbps_replenishes->inc());
-  }
-  const auto best = cache_->peek_best_score();
+  if (selector_.policy() != AaSelectPolicy::kCache) return true;
+  // §3.3.2's background scan — run it at plan time so a drained list does
+  // not read as fragmentation.  Deterministic: the plan is serial and the
+  // scan is a pure function of the group's scoreboard.
+  selector_.replenish();
+  const auto best = selector_.peek_best_score();
   return best.has_value() && *best >= skip_threshold_;
 }
 
@@ -170,14 +115,16 @@ std::uint64_t RgAllocator::plan_capacity() const {
   // yet bit-set, and blocks an earlier boundary freed behind it) and those
   // of the cleaner's checked-out AA.
   const BitmapMetafile& map = activemap_.metafile();
-  WAFL_ASSERT(window_writes_.empty() || cursor_aa_ != kInvalidAaId);
+  const AaId open = selector_.open_aa();
+  const AaId cleaned = selector_.checked_out();
+  WAFL_ASSERT(window_writes_.empty() || open != kInvalidAaId);
   std::uint64_t unreachable = 0;
-  if (cursor_aa_ != kInvalidAaId) {
-    unreachable += map.free_in_range(layout_.aa_begin(cursor_aa_), cursor_pos_);
+  if (open != kInvalidAaId) {
+    unreachable += map.free_in_range(layout_.aa_begin(open), selector_.pos());
   }
-  if (checked_out_aa_ != kInvalidAaId) {
-    unreachable += map.free_in_range(layout_.aa_begin(checked_out_aa_),
-                                     layout_.aa_end(checked_out_aa_));
+  if (cleaned != kInvalidAaId) {
+    unreachable += map.free_in_range(layout_.aa_begin(cleaned),
+                                     layout_.aa_end(cleaned));
   }
   const std::uint64_t free = map.free_in_range(base_, end());
   WAFL_ASSERT(free >= unreachable);
@@ -185,9 +132,10 @@ std::uint64_t RgAllocator::plan_capacity() const {
 }
 
 std::uint64_t RgAllocator::plan_cursor_free() const {
-  if (cursor_aa_ == kInvalidAaId) return 0;
-  return activemap_.metafile().free_in_range(cursor_pos_,
-                                             layout_.aa_end(cursor_aa_));
+  const AaId open = selector_.open_aa();
+  if (open == kInvalidAaId) return 0;
+  return activemap_.metafile().free_in_range(selector_.pos(),
+                                             layout_.aa_end(open));
 }
 
 void RgAllocator::begin_staged_alloc() {
@@ -211,58 +159,6 @@ BitmapMetafile::AllocDelta RgAllocator::end_staged_alloc() {
   return d;
 }
 
-bool RgAllocator::ensure_cursor(CpStats& stats) {
-  // Candidate selection consults the cache (or random choice), whose
-  // scores are only updated at CP boundaries (§3.3); a candidate may have
-  // been consumed earlier in THIS CP, so each pick is validated against
-  // the live activemap before the cursor commits to it.
-  int random_attempts = 0;
-  for (;;) {
-    if (cursor_aa_ != kInvalidAaId) return true;
-
-    AaId aa = kInvalidAaId;
-    if (policy_ == AaSelectPolicy::kCache) {
-      if (hbps_ != nullptr && hbps_->needs_replenish()) {
-        // §3.3.2's background scan, for HBPS-managed pools.
-        hbps_->build(board_);
-        WAFL_OBS(metrics_.hbps_replenishes->inc());
-      }
-      const auto pick = cache_->take_best();
-      if (!pick.has_value()) return false;
-      aa = pick->aa;
-      if (live_aa_free(aa) == 0) {
-        // Stale entry (consumed this CP, or empty since last CP): keep it
-        // out of rotation until the boundary re-scores it.
-        retired_.push_back(aa);
-        continue;
-      }
-    } else if (random_attempts++ < 64) {
-      aa = static_cast<AaId>(rng_.below(layout_.aa_count()));
-      if (live_aa_free(aa) == 0) continue;
-    } else {
-      // Random probing keeps missing: linear sweep by live free count.
-      for (AaId i = 0; i < layout_.aa_count(); ++i) {
-        if (live_aa_free(i) > 0) {
-          aa = i;
-          break;
-        }
-      }
-      if (aa == kInvalidAaId) return false;
-    }
-
-    const double free_frac = static_cast<double>(board_.score(aa)) /
-                             static_cast<double>(layout_.aa_capacity(aa));
-    stats.agg_pick_free_frac.add(free_frac);
-    WAFL_OBS({
-      metrics_.checkouts->inc();
-      metrics_.checkout_free_frac->record(free_frac);
-    });
-    cursor_aa_ = aa;
-    cursor_pos_ = layout_.aa_begin(aa);
-    return true;
-  }
-}
-
 std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
                                 CpStats& stats) {
   obs::TraceSpan span(obs::SpanKind::kRgFill, raid_.id());
@@ -270,54 +166,51 @@ std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
   const RaidGeometry& geom = raid_.geometry();
   const std::uint64_t bpt = geom.blocks_per_tetris();
 
+  auto live_free = [this](AaId aa) { return live_aa_free(aa); };
+
   for (;;) {
-    if (!ensure_cursor(stats)) return 0;
-    const Vbn aa_end = layout_.aa_end(cursor_aa_);
+    if (!selector_.ensure(live_free, stats.agg_pick_free_frac, nullptr)) {
+      return 0;
+    }
+    const Vbn aa_end = layout_.aa_end(selector_.open_aa());
+    Vbn pos = selector_.pos();
 
     if (window_writes_.empty()) {
       // No tetris is open: jump straight to the AA's next free block so a
       // run of fully-consumed windows costs one bitmap scan, not one turn
       // per window.
-      const Vbn v = map.find_free(cursor_pos_, aa_end);
-      stats.agg_bits_scanned += (v == aa_end ? aa_end : v + 1) - cursor_pos_;
+      const Vbn v = map.find_free(pos, aa_end);
+      stats.agg_bits_scanned += (v == aa_end ? aa_end : v + 1) - pos;
       if (v == aa_end) {
-        if (policy_ == AaSelectPolicy::kCache) {
-          retired_.push_back(cursor_aa_);
-        }
-        cursor_aa_ = kInvalidAaId;
+        selector_.retire();
         continue;
       }
-      cursor_pos_ = v;
+      pos = v;
     }
 
-    const std::uint64_t local = cursor_pos_ - base_;
+    const std::uint64_t local = pos - base_;
     const Vbn window_end =
         std::min<Vbn>(base_ + (local / bpt + 1) * bpt, aa_end);
 
     std::uint64_t taken = 0;
     while (taken < need) {
-      const Vbn v = map.find_free(cursor_pos_, window_end);
-      stats.agg_bits_scanned +=
-          (v == window_end ? window_end : v + 1) - cursor_pos_;
+      const Vbn v = map.find_free(pos, window_end);
+      stats.agg_bits_scanned += (v == window_end ? window_end : v + 1) - pos;
       if (v == window_end) {
-        cursor_pos_ = window_end;
+        pos = window_end;
         break;
       }
-      cursor_pos_ = v + 1;
+      pos = v + 1;
       out.push_back(v);
       window_writes_.push_back(v);
       ++taken;
     }
+    selector_.set_pos(pos);
 
-    if (cursor_pos_ == window_end) {
+    if (pos == window_end) {
       // Window exhausted: write it out and advance (possibly off the AA).
       flush_window(stats);
-      if (window_end == aa_end) {
-        if (policy_ == AaSelectPolicy::kCache) {
-          retired_.push_back(cursor_aa_);
-        }
-        cursor_aa_ = kInvalidAaId;
-      }
+      if (window_end == aa_end) selector_.retire();
     }
     if (taken > 0) {
       span.set_b(taken);
@@ -410,58 +303,22 @@ BitmapMetafile::FreeDelta RgAllocator::cp_boundary(
   // thread; ThreadPool rethrows on the caller.
   WAFL_CRASH_POINT_RT(*rt_, "rg.after_frees");
 
-  // CP-boundary rebalance (§3.3.1) and retired-AA re-admission.
-  const auto changes = board_.apply_cp_deltas();
-  WAFL_OBS(metrics_.scoreboard_changed->add(changes.size()));
-  if (policy_ == AaSelectPolicy::kCache) {
-    cache_->apply_changes(changes);
-    WAFL_OBS(metrics_.cp_rekeys->add(changes.size()));
-    for (const AaId aa : retired_) {
-      cache_->insert(aa, board_.score(aa));
-      WAFL_OBS(metrics_.putbacks->inc());
-    }
-    retired_.clear();
-
-    // Stage (but do not write) this group's TopAA image; the persisted
-    // set must include the allocator cursor's checked-out AA — cursors do
-    // not survive failover (§3.4).
-    if (heap_ != nullptr) {
-      auto best = heap_->top(kTopAaRaidAwareEntries);
-      if (cursor_aa_ != kInvalidAaId) {
-        best.push_back({cursor_aa_, board_.score(cursor_aa_)});
-        std::sort(best.begin(), best.end(),
-                  [](const AaPick& a, const AaPick& b) {
-                    if (a.score != b.score) return a.score > b.score;
-                    return a.aa < b.aa;
-                  });
-        if (best.size() > kTopAaRaidAwareEntries) {
-          best.resize(kTopAaRaidAwareEntries);
-        }
-      }
-      staged_topaa_ = TopAaFile::encode_raid_aware(best);
-    } else {
-      if (cursor_aa_ != kInvalidAaId) {
-        Hbps snapshot = *hbps_;
-        snapshot.insert(cursor_aa_, board_.score(cursor_aa_));
-        staged_topaa_ = TopAaFile::encode_raid_agnostic(snapshot);
-      } else {
-        staged_topaa_ = TopAaFile::encode_raid_agnostic(*hbps_);
-      }
-    }
-    topaa_staged_ = true;
-  }
+  // CP-boundary rebalance (§3.3.1), retired-AA re-admission, and the
+  // staged (not yet written) TopAA image.
+  selector_.apply_cp();
+  staged_topaa_ = selector_.encode_topaa();
   WAFL_CRASH_POINT_RT(*rt_, "rg.after_topaa_encode");
   return delta;
 }
 
 std::uint64_t RgAllocator::commit_topaa() {
-  if (!topaa_staged_) return 0;
-  obs::TraceSpan span(obs::SpanKind::kFcRgTopaa, raid_.id(),
-                      staged_topaa_.nblocks);
+  if (!staged_topaa_.has_value()) return 0;
+  const std::uint64_t nblocks = staged_topaa_->nblocks;
+  obs::TraceSpan span(obs::SpanKind::kFcRgTopaa, raid_.id(), nblocks);
   TopAaFile topaa(topaa_store_, topaa_base_);
-  topaa.commit(staged_topaa_);
-  topaa_staged_ = false;
-  return staged_topaa_.nblocks;
+  topaa.commit(*staged_topaa_);
+  staged_topaa_.reset();
+  return nblocks;
 }
 
 SimTime RgAllocator::slowest_device_busy() const {
@@ -509,61 +366,26 @@ void RgAllocator::fold_device_metrics() {
 }
 
 bool RgAllocator::mount_seed() {
+  window_writes_.clear();
   TopAaFile topaa(topaa_store_, topaa_base_);
-  cursor_aa_ = kInvalidAaId;
-  window_writes_.clear();
-  retired_.clear();
-  bool ok = false;
-  if (heap_ != nullptr) {
-    const auto picks = topaa.load_raid_aware();
-    if (picks.has_value()) {
-      heap_->seed(*picks);
-      ok = true;
-    }
-  } else {
-    auto loaded = topaa.load_raid_agnostic();
-    if (loaded.has_value()) {
-      // The loaded image arrives with no counter binding; restore ours.
-      *hbps_ = std::move(*loaded);
-      bind_cache_counters();
-      ok = true;
-    }
-  }
-  if (!ok) {
-    // Damaged/missing TopAA: rebuild this group the slow way.
-    board_ = AaScoreBoard(layout_, activemap_.metafile());
-    build_cache();
-  }
-  return ok;
-}
-
-void RgAllocator::rebuild_from_scan() {
+  if (selector_.load_topaa(topaa)) return true;
+  // Damaged/missing TopAA: rebuild this group the slow way.
   board_ = AaScoreBoard(layout_, activemap_.metafile());
-  cursor_aa_ = kInvalidAaId;
-  window_writes_.clear();
-  retired_.clear();
-  if (policy_ == AaSelectPolicy::kCache) {
-    build_cache();
-  }
+  selector_.rebuild();
+  return false;
 }
 
 void RgAllocator::adopt_scan(std::vector<AaScore> scores) {
   board_ = AaScoreBoard(layout_, std::move(scores));
-  cursor_aa_ = kInvalidAaId;
   window_writes_.clear();
-  retired_.clear();
-  if (policy_ == AaSelectPolicy::kCache) {
-    build_cache();
-  }
+  selector_.rebuild();
 }
 
 void RgAllocator::reseed_board() {
-  WAFL_ASSERT_MSG(window_writes_.empty() && cursor_aa_ == kInvalidAaId,
+  WAFL_ASSERT_MSG(window_writes_.empty() && selector_.open_aa() == kInvalidAaId,
                   "reseed_board during a CP");
   board_ = AaScoreBoard(layout_, activemap_.metafile());
-  if (policy_ == AaSelectPolicy::kCache) {
-    build_cache();
-  }
+  selector_.rebuild();
 }
 
 // ---------------------------------------------------------------------------
@@ -619,11 +441,11 @@ bool WriteAllocator::windows_idle() const {
 bool WriteAllocator::checkout_aa(RaidGroupId rg, AaId aa) {
   WAFL_ASSERT_MSG(policy_ == AaSelectPolicy::kCache,
                   "checkout_aa requires the cache policy");
-  return groups_.at(rg)->checkout(aa);
+  return groups_.at(rg)->selector_.checkout(aa);
 }
 
 void WriteAllocator::checkin_aa(RaidGroupId rg, AaId aa) {
-  groups_.at(rg)->checkin(aa);
+  groups_.at(rg)->selector_.checkin(aa);
 }
 
 void WriteAllocator::begin_cp() {

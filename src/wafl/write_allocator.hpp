@@ -7,8 +7,8 @@
 //
 //  - RgAllocator: one RAID group's (or object-store pool's) complete
 //    allocation state — geometry and device models, AA layout, scoreboard,
-//    AA cache (max-heap §3.3.1 or HBPS §3.3.2), the allocator cursor and
-//    open tetris window, the retired-AA list, per-CP device-busy
+//    the AaSelector (AA cache — max-heap §3.3.1 or HBPS §3.3.2 — open AA
+//    and retired-AA list), the open tetris window, per-CP device-busy
 //    accounting, and this group's TopAA slot (§3.4).  No RgAllocator
 //    method reads or writes another group's state.
 //
@@ -73,15 +73,13 @@
 #include <vector>
 
 #include "bitmap/activemap.hpp"
-#include "core/hbps.hpp"
-#include "core/max_heap_cache.hpp"
+#include "core/aa_selector.hpp"
 #include "core/scoreboard.hpp"
 #include "core/topaa.hpp"
 #include "obs/obs.hpp"
 #include "raid/raid_group.hpp"
 #include "storage/block_store.hpp"
 #include "util/rng.hpp"
-#include "wafl/aa_select.hpp"
 #include "wafl/cp_stats.hpp"
 #include "wafl/media_config.hpp"
 #include "wafl/runtime.hpp"
@@ -124,13 +122,8 @@ class RgAllocator {
   Vbn base() const noexcept { return base_; }
   const AaLayout& layout() const noexcept { return layout_; }
   const AaScoreBoard& board() const noexcept { return board_; }
-  const AaCache& cache() const noexcept { return *cache_; }
-  /// The group's max-heap; asserts on HBPS pools.
-  const MaxHeapAaCache& heap() const;
-  /// The group's HBPS; asserts on heap (RAID) groups.
-  const Hbps& hbps() const;
-  /// True for object-store pools managed by the HBPS (§3.3.2).
-  bool raid_agnostic() const noexcept { return hbps_ != nullptr; }
+  /// The AA cache (heap, or HBPS for object-store pools) and open AA.
+  const AaSelector& selector() const noexcept { return selector_; }
   DeviceModel& data_device(DeviceId d) { return *data_devices_.at(d); }
   DeviceModel& parity_device(DeviceId d) { return *parity_devices_.at(d); }
   const DeviceModel& data_device(DeviceId d) const {
@@ -143,15 +136,6 @@ class RgAllocator {
   Vbn end() const noexcept { return base_ + raid_.geometry().data_blocks(); }
   /// True when no tetris window is open (quiescence check for growth).
   bool window_idle() const noexcept { return window_writes_.empty(); }
-
-  // --- Segment-cleaner coordination (§3.3.1) -------------------------------
-  /// Removes `aa` from the heap so the allocator cannot target it while
-  /// the cleaner relocates its blocks.  One AA is out at a time: false
-  /// when `aa` is already out (allocator cursor), another AA is checked
-  /// out, or the group has no heap.
-  bool checkout(AaId aa);
-  /// Returns the checked-out AA to the cache at its current board score.
-  void checkin(AaId aa);
 
   // --- CP-side allocation --------------------------------------------------
   /// Starts a CP interval: clears per-CP device-busy accounting.
@@ -203,14 +187,10 @@ class RgAllocator {
   /// from TopAA.
   bool mount_seed();
 
-  /// Rebuilds scoreboard and cache from the (already loaded) activemap.
-  void rebuild_from_scan();
-
-  /// rebuild_from_scan() with the per-AA scores already computed by the
-  /// pipelined mount scan (identical values by construction — the
-  /// pipeline uses the scoreboard's own scoring expression), so adoption
-  /// skips the second metafile walk and just resets allocator state and
-  /// rebuilds the cache.
+  /// Adopts the per-AA scores the pipelined mount scan computed from the
+  /// (already loaded) activemap — identical to a scoreboard rescan by
+  /// construction, since the pipeline uses the scoreboard's own scoring
+  /// expression — then resets allocator state and rebuilds the cache.
   void adopt_scan(std::vector<AaScore> scores);
 
   /// Re-derives the scoreboard from the activemap and rebuilds the cache
@@ -248,46 +228,28 @@ class RgAllocator {
   /// own allocations).
   std::uint64_t live_aa_free(AaId aa) const;
 
-  /// Ensures an AA is checked out.  False when the group is full.
-  bool ensure_cursor(CpStats& stats);
-
-  /// Rebuilds the cache from the scoreboard (heap or HBPS form).
-  void build_cache();
-
   /// Resolves the per-group labelled metric handles (rg="N", plus the
   /// runtime's agg="<id>" dimension when set).
   void resolve_metrics();
-  /// (Re)binds the cache's internal counters — after construction and
-  /// after mount_seed() replaces the HBPS image (the loaded copy arrives
-  /// unbound).
-  void bind_cache_counters();
 
   const Runtime* rt_;
-  AaSelectPolicy policy_;
   RaidGroup raid_;
   Vbn base_;
   std::uint32_t aa_stripes_;
   AaScore skip_threshold_;  // best-AA score below this => skip the group
-  Rng rng_;                 // kRandom probes
   std::vector<std::unique_ptr<DeviceModel>> data_devices_;
   std::vector<std::unique_ptr<DeviceModel>> parity_devices_;
   AaLayout layout_;
   AaScoreBoard board_;
-  /// Exactly one of these is set: heap for RAID groups, hbps for
-  /// object-store pools (then `cache_` aliases it).
-  MaxHeapAaCache* heap_ = nullptr;
-  Hbps* hbps_ = nullptr;
-  std::unique_ptr<AaCache> cache_;
+  /// The open AA, the cache (heap for RAID groups, HBPS for object-store
+  /// pools), the retired list and the kRandom stream.
+  AaSelector selector_;
 
   Activemap& activemap_;
   BlockStore& topaa_store_;
   std::uint64_t topaa_base_;
 
-  AaId cursor_aa_ = kInvalidAaId;
-  AaId checked_out_aa_ = kInvalidAaId;  // the segment cleaner's
-  Vbn cursor_pos_ = 0;  // absolute pvbn
   std::vector<Vbn> window_writes_;
-  std::vector<AaId> retired_;
   std::vector<SimTime> device_busy_;  // data then parity, this CP
   /// SSD FTL totals (summed over the group's devices) already folded
   /// into the wafl.ssd.* counters.
@@ -302,22 +264,13 @@ class RgAllocator {
   std::uint64_t staged_base_ = 0;
 
   /// TopAA image staged by cp_boundary() for commit_topaa() to write.
-  TopAaImage staged_topaa_;
-  bool topaa_staged_ = false;
+  std::optional<TopAaImage> staged_topaa_;
 
   /// Metric handles cached at construction, labelled rg="N" so per-group
   /// series stay separate (function-local statics merged all groups into
-  /// one).  Null when obs is compiled out.
+  /// one).  Null when obs is compiled out.  The AA pick counters live in
+  /// selector_.
   struct Metrics {
-    obs::Counter* checkouts = nullptr;
-    obs::LinearHistogram* checkout_free_frac = nullptr;
-    obs::Counter* putbacks = nullptr;
-    obs::Counter* cp_rekeys = nullptr;
-    obs::Counter* scoreboard_changed = nullptr;
-    obs::Counter* hbps_replenishes = nullptr;
-    /// Bound into the cache structures (core never reaches the registry).
-    obs::Counter* heap_rekeys = nullptr;
-    obs::Counter* hbps_rebins = nullptr;
     std::vector<obs::Counter*> device_busy;  // data then parity
     /// wafl.ssd.* (aggregate-wide), resolved at the first fold that sees
     /// GC so a group without any exports no zero series.

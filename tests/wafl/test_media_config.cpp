@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.hpp"
-#include "wafl/aa_select.hpp"
-#include "wafl/flexvol.hpp"
-
 namespace wafl {
 namespace {
 
@@ -67,25 +63,6 @@ TEST(MediaGeometryView, ConveysEraseBlockAndZone) {
   cfg.azcs = true;
   EXPECT_EQ(media_geometry(cfg).zone_blocks, 16384u * 63 / 64);
   EXPECT_TRUE(media_geometry(cfg).azcs);
-}
-
-TEST(AaSelectRandom, PickerRespectsExclusionAndScores) {
-  const AaLayout l = AaLayout::flat(0, 4 * 1024, 1024);
-  AaScoreBoard board(l);
-  // Empty out AAs 0..2; only AA 3 has free space.
-  for (AaId aa = 0; aa < 3; ++aa) {
-    for (std::uint32_t i = 0; i < 1024; ++i) {
-      board.note_alloc(l.aa_begin(aa) + i);
-    }
-  }
-  board.apply_cp_deltas();
-  Rng rng(5);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(pick_random_nonempty_aa(board, rng), 3u);
-  }
-  // Excluding the only candidate leaves nothing.
-  EXPECT_EQ(pick_random_nonempty_aa(board, rng, /*exclude=*/3),
-            kInvalidAaId);
 }
 
 }  // namespace

@@ -186,6 +186,65 @@ TEST(Mount, ScanPathParallelMatchesSerial) {
   }
 }
 
+// Every rebuild of an object-store pool's HBPS must track every AA again,
+// including the one the allocator held open when the rebuild began.  An
+// AA the HBPS still believes checked out stays out of the histogram and
+// every TopAA image while the plan counts its free blocks, so filling the
+// pool would abort with blocks free.
+TEST(Mount, RebuildRetracksObjectStoreCursorAa) {
+  enum class Entry { kScanMount, kDamagedTopAaMount, kBackgroundCompletion };
+  for (const Entry entry : {Entry::kScanMount, Entry::kDamagedTopAaMount,
+                            Entry::kBackgroundCompletion}) {
+    SCOPED_TRACE(static_cast<int>(entry));
+    AggregateConfig cfg;
+    RaidGroupConfig pool;
+    pool.data_devices = 1;
+    pool.parity_devices = 0;
+    pool.device_blocks = 4 * kFlatAaBlocks;
+    pool.media.type = MediaType::kObjectStore;
+    cfg.raid_groups = {pool};
+    Aggregate agg(cfg, 1);
+    FlexVolConfig vcfg;
+    vcfg.vvbn_blocks = 5 * kFlatAaBlocks;
+    vcfg.file_blocks = 4 * kFlatAaBlocks;
+    agg.add_volume(vcfg);
+    ASSERT_EQ(agg.rg_layout(0).aa_count(), 4u);
+
+    std::uint64_t next = 0;
+    auto write = [&](std::uint64_t n) {
+      std::vector<DirtyBlock> dirty;
+      for (std::uint64_t l = next; l < next + n; ++l) dirty.push_back({0, l});
+      next += n;
+      EXPECT_EQ(ConsistencyPoint::run(agg, dirty).blocks_written, n);
+    };
+    write(5000);
+    EXPECT_EQ(agg.rg_hbps(0).size(), 3u);  // one AA is open
+
+    switch (entry) {
+      case Entry::kScanMount:
+        mount_all(agg, /*use_topaa=*/false);
+        break;
+      case Entry::kDamagedTopAaMount:
+        agg.topaa_store().corrupt(agg.rg_topaa_block(0), 3);
+        EXPECT_EQ(mount_all(agg, /*use_topaa=*/true).rgs_seeded, 0u);
+        break;
+      case Entry::kBackgroundCompletion:
+        EXPECT_EQ(mount_all(agg, /*use_topaa=*/true).rgs_seeded, 1u);
+        write(5000);
+        complete_background(agg);
+        break;
+    }
+    ASSERT_EQ(agg.rg_hbps(0).size(), 4u);
+    EXPECT_TRUE(agg.rg_hbps(0).validate());
+
+    // Write the pool to within 1000 blocks of full.
+    while (agg.free_blocks() > 1000) {
+      write(std::min<std::uint64_t>(30'000, agg.free_blocks() - 1000));
+    }
+    EXPECT_EQ(agg.free_blocks(), 1000u);
+  }
+}
+
 
 // --- Parallel scan determinism oracle (PR 9) -------------------------------
 //
