@@ -70,16 +70,6 @@ class Bitmap {
   /// Length of the run of clear bits starting at `begin`, capped at `end`.
   std::uint64_t clear_run_length(std::uint64_t begin, std::uint64_t end) const;
 
-  /// Clears every bit of `mask` in word `w`; asserts each was set (a
-  /// double free is a file-system bug, never a recoverable condition).
-  /// The word-batched CP free path: one RMW per touched word instead of
-  /// one per bit.
-  void clear_word_mask(std::uint64_t w, std::uint64_t mask) noexcept {
-    WAFL_ASSERT(w < words_.size());
-    WAFL_ASSERT_MSG((words_[w] & mask) == mask, "freeing a free block");
-    words_[w] &= ~mask;
-  }
-
   /// Bulk word overwrite for deserialization (the mount walk): words
   /// [first_word, first_word + src.size()) take `src`'s values verbatim.
   /// If the run covers the final word, bits beyond size() are re-cleared,

@@ -1,7 +1,6 @@
 #include "bitmap/bitmap_metafile.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "util/thread_pool.hpp"
@@ -64,46 +63,26 @@ BitmapMetafile::FreeDelta BitmapMetafile::clear_frees_batched(
   FreeDelta d;
   if (frees.empty()) return d;
 
-  // Scatter pass: accumulate one mask per touched word in a dense scratch
-  // spanning [w_lo, w_hi].  A CP's per-group free batch is dense within
-  // the group's VBN range, so the scratch stays proportional to the group
-  // (and zeroing it is a linear memset), not to the whole aggregate.
-  std::uint64_t w_lo = frees.front() >> 6;
-  std::uint64_t w_hi = w_lo;
+  // One counter per metafile block the span covers: a CP's per-group free
+  // batch stays inside the group's VBN range, so there are at most as many
+  // counters as the group has metafile blocks (512 for 16 Mi VBNs), and
+  // the pass never walks the group's bitmap words.
+  std::uint64_t b_lo = frees.front() / kBitsPerBitmapBlock;
+  std::uint64_t b_hi = b_lo;
   for (const Vbn v : frees) {
     WAFL_ASSERT(v < bits_.size());
-    const std::uint64_t w = v >> 6;
-    w_lo = std::min(w_lo, w);
-    w_hi = std::max(w_hi, w);
+    const std::uint64_t b = v / kBitsPerBitmapBlock;
+    b_lo = std::min(b_lo, b);
+    b_hi = std::max(b_hi, b);
   }
-  std::vector<std::uint64_t> masks(w_hi - w_lo + 1, 0);
+  std::vector<std::uint32_t> freed(b_hi - b_lo + 1, 0);
+  // A duplicate free finds its bit already clear and aborts here.
   for (const Vbn v : frees) {
-    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-    std::uint64_t& mask = masks[(v >> 6) - w_lo];
-    WAFL_ASSERT_MSG((mask & bit) == 0, "duplicate free in batch");
-    mask |= bit;
+    clear_unaccounted(v);
+    ++freed[v / kBitsPerBitmapBlock - b_lo];
   }
-
-  // Apply pass, ascending: one RMW per touched word, one popcount per
-  // word folded into the owning metafile block's freed count.
-  std::uint64_t cur_block = (w_lo * 64) / kBitsPerBitmapBlock;
-  std::uint32_t freed_in_block = 0;
-  for (std::uint64_t w = w_lo; w <= w_hi; ++w) {
-    const std::uint64_t mask = masks[w - w_lo];
-    if (mask == 0) continue;
-    const std::uint64_t b = (w * 64) / kBitsPerBitmapBlock;
-    if (b != cur_block) {
-      if (freed_in_block != 0) {
-        d.per_block.emplace_back(cur_block, freed_in_block);
-      }
-      cur_block = b;
-      freed_in_block = 0;
-    }
-    bits_.clear_word_mask(w, mask);
-    freed_in_block += static_cast<std::uint32_t>(std::popcount(mask));
-  }
-  if (freed_in_block != 0) {
-    d.per_block.emplace_back(cur_block, freed_in_block);
+  for (std::uint64_t i = 0; i < freed.size(); ++i) {
+    if (freed[i] != 0) d.per_block.emplace_back(b_lo + i, freed[i]);
   }
   return d;
 }

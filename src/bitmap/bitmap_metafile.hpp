@@ -66,7 +66,7 @@ class BitmapMetafile {
 
   /// Serial companion to clear_unaccounted(): folds already-cleared VBNs
   /// into the per-block free counts, the total, and the dirty set.
-  /// Per-bit reference path; the CP boundary uses the word-batched pair
+  /// Per-bit reference path; the CP boundary uses the batched pair
   /// below (the fuzz suite holds the two equivalent).
   void account_frees(std::span<const Vbn> freed);
 
@@ -102,17 +102,19 @@ class BitmapMetafile {
     std::vector<std::pair<std::uint64_t, std::uint32_t>> per_block;
   };
 
-  /// Word-batched companion to clear_unaccounted(): clears the bits of
-  /// `frees` (any order, no duplicates, all currently set — asserted)
-  /// one 64-bit mask per touched word, and returns the per-block freed
-  /// counts (ascending by block) for apply_free_deltas().  Internally a
-  /// scatter pass accumulates masks in a dense scratch over the span's
-  /// word range, then one ascending walk applies them — no sort, so a
-  /// CP's deferral-order free list feeds straight in.  Touches only the
-  /// bit words `frees` covers: concurrent calls are safe when the
-  /// callers' VBNs live in disjoint words, which the per-RAID-group CP
-  /// boundary guarantees (group ranges are multiples of kTetrisStripes,
-  /// so they never share a word).
+  /// Batched companion to clear_unaccounted(): clears the bits of `frees`
+  /// (any order, no duplicates, all currently set — a free of a free
+  /// block, duplicates included, aborts on "freeing a free block") and
+  /// returns the per-block freed counts (ascending by block) for
+  /// apply_free_deltas().  Each free clears its bit and bumps a counter
+  /// for its metafile block; the counters span only the blocks between
+  /// the lowest and highest free, so the cost is O(frees + blocks
+  /// spanned), not O(bitmap words spanned), and a CP's deferral-order
+  /// free list feeds straight in without a sort.  Touches only the bit
+  /// words `frees` covers: concurrent calls are safe when the callers'
+  /// VBNs live in disjoint words, which the per-RAID-group CP boundary
+  /// guarantees (group ranges are multiples of kTetrisStripes, so they
+  /// never share a word).
   FreeDelta clear_frees_batched(std::span<const Vbn> frees);
 
   /// Serial companion: folds a clear_frees_batched() delta into the

@@ -14,8 +14,10 @@
 namespace wafl {
 
 /// CRC-32C of `data`, starting from `seed` (pass 0 for a fresh checksum).
-/// Software table-driven implementation; one 256-entry table built at first
-/// use.
+/// Portable software slicing-by-8: eight 256-entry tables built at compile
+/// time fold eight bytes per step (any alignment), and a byte-table loop
+/// takes the tail.  The result is the plain bytewise CRC-32C, so the
+/// checksums already on media do not change.
 std::uint32_t crc32c(std::span<const std::byte> data,
                      std::uint32_t seed = 0) noexcept;
 

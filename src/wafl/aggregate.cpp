@@ -114,20 +114,27 @@ void Aggregate::set_owner(Vbn pvbn, VolumeId vol, Vbn vvbn) {
 }
 
 void Aggregate::release_pvbns(std::span<const Vbn> pvbns) {
-  for (std::size_t i = 0; i < pvbns.size(); ++i) {
-    if (i + kReleaseLookahead < pvbns.size()) {
-      // Address arithmetic only; a prefetch never faults.
-      __builtin_prefetch(owner_.data() + pvbns[i + kReleaseLookahead], 1);
-    }
-    const Vbn pvbn = pvbns[i];
+  for (const Vbn pvbn : pvbns) {
     WAFL_ASSERT(pvbn < total_blocks_);
-    owner_[pvbn] = kNoOwner;
     defer_free_pvbn(pvbn);
   }
 }
 
+void Aggregate::seed_rg_occupancy(RaidGroupId rg, double fraction,
+                                  Rng& rng) {
+  // Seeded blocks belong to no volume, but a free block's owner entry may
+  // still name the volume that last held it (release_pvbns leaves it).
+  // Reset the entries seeding may claim: every free block of the group.
+  const RgAllocator& group = walloc_.group(rg);
+  for (Vbn v = group.base(); v < group.end(); ++v) {
+    if (!activemap_.is_allocated(v)) owner_[v] = kNoOwner;
+  }
+  walloc_.seed_occupancy(rg, fraction, rng);
+}
+
 std::optional<Aggregate::BlockOwner> Aggregate::owner_of(Vbn pvbn) const {
   WAFL_ASSERT(pvbn < total_blocks_);
+  if (!activemap_.is_allocated(pvbn)) return std::nullopt;
   const std::uint64_t packed = owner_[pvbn];
   if (packed == kNoOwner) return std::nullopt;
   return BlockOwner{static_cast<VolumeId>(packed >> 48),

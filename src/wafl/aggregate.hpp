@@ -135,9 +135,7 @@ class Aggregate {
   /// churn "until a random 50% of its blocks were used") and rebuilds the
   /// group's scoreboard and cache.  Must be called while no CP is in
   /// flight.  The seeded blocks belong to no volume and are never freed.
-  void seed_rg_occupancy(RaidGroupId rg, double fraction, Rng& rng) {
-    walloc_.seed_occupancy(rg, fraction, rng);
-  }
+  void seed_rg_occupancy(RaidGroupId rg, double fraction, Rng& rng);
 
   // --- Physical-block ownership (the container-map back-pointer WAFL keeps
   // via its container files; needed by the segment cleaner to relocate
@@ -152,7 +150,10 @@ class Aggregate {
   /// Records that `pvbn` now holds volume `vol`'s virtual block `vvbn`.
   void set_owner(Vbn pvbn, VolumeId vol, Vbn vvbn);
   /// Owner of `pvbn`, or nullopt for unowned blocks (free, or seeded by
-  /// seed_rg_occupancy).
+  /// seed_rg_occupancy).  An owner-table entry means something only while
+  /// its block is allocated: a free block reads nullopt from its activemap
+  /// bit whatever its entry holds, because release_pvbns leaves the entry
+  /// of a freed block stale and set_owner overwrites it on reallocation.
   std::optional<BlockOwner> owner_of(Vbn pvbn) const;
 
   // --- Segment-cleaner support (§3.3.1) --------------------------------------
@@ -199,10 +200,10 @@ class Aggregate {
     walloc_.note_free(v);
   }
 
-  /// Releases blocks a CP no longer references: clears each one's owner
-  /// and defers its free to the CP boundary, in order.  The pvbns are
-  /// scattered over the owner table, so its entries are prefetched a few
-  /// blocks ahead (DESIGN.md §17).
+  /// Releases blocks a CP no longer references: defers each one's free to
+  /// the CP boundary, in order.  The owner entries are left as they are
+  /// (see owner_of), so a release writes nothing proportional to the
+  /// aggregate (DESIGN.md §17).
   void release_pvbns(std::span<const Vbn> pvbns);
 
   /// The CP boundary: flushes open tetris windows, applies deferred frees
@@ -248,14 +249,9 @@ class Aggregate {
   WriteAllocator walloc_;
 
   /// pvbn -> packed owner (vol in the top 16 bits, vvbn below;
-  /// kNoOwner when unowned).
+  /// kNoOwner when unowned).  Meaningful only for allocated pvbns.
   static constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
   std::vector<std::uint64_t> owner_;
-  /// Owner-table prefetch distance of release_pvbns(), in blocks.
-  /// Measured on the benchmark's ssd_overwrite (4-core x86 host, 4 MiB
-  /// owner table): releasing a CP's ~24k freed pvbns costs 0.9 ms at
-  /// distance 0, 0.75 ms at 2 and 0.6 ms at 8 and 16.
-  static constexpr std::size_t kReleaseLookahead = 8;
 
   std::vector<std::unique_ptr<FlexVol>> volumes_;
 };

@@ -1,6 +1,7 @@
 #include "wafl/consistency_point.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "fault/crash_point.hpp"
@@ -10,11 +11,12 @@
 namespace wafl {
 namespace {
 
-/// Handles for the CP-boundary metric fold, resolved per construction
-/// against the aggregate runtime's registry (a CP is far too coarse for
-/// ~20 hash lookups to matter).  The hot allocation loop never touches the
-/// registry: per-block accounting rides on CpStats exactly as before, and
-/// this fold turns one CP's stats into one batch of counter adds.
+/// Handles for the CP's phase histograms and boundary metric fold,
+/// resolved once per drain against the aggregate runtime's registry
+/// (about 25 lookups under its mutex, so not once per phase).  The hot
+/// allocation loop never touches the registry: per-block accounting rides
+/// on CpStats, and the fold turns one CP's stats into one batch of counter
+/// adds.
 struct CpMetrics {
   explicit CpMetrics(const Runtime& rt) : r(rt.registry()), l(rt.labels()) {}
 
@@ -109,7 +111,8 @@ ConsistencyPoint::Frozen ConsistencyPoint::freeze(
   obs::PhaseTimer phase_timer;
   frozen.start_ns = obs::monotonic_ns();
   WAFL_OBS({
-    obs::Counter& count = CpMetrics(agg.runtime()).count;
+    const Runtime& rt = agg.runtime();
+    obs::Counter& count = rt.registry().counter("wafl.cp.count", rt.labels());
     count.inc();
     frozen.cp_no = static_cast<std::uint32_t>(count.value());
   });
@@ -127,8 +130,7 @@ ConsistencyPoint::Frozen ConsistencyPoint::freeze(
   group_by_volume(dirty, agg.volume_count());
   frozen.dirty = std::move(dirty);
   sort_span.end();
-  WAFL_OBS(CpMetrics(agg.runtime())
-               .phase_sort_ns.record(static_cast<double>(phase_timer.lap())));
+  WAFL_OBS(frozen.sort_ns = phase_timer.lap());
   return frozen;
 }
 
@@ -141,6 +143,11 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   obs::TraceSpan drain_span(obs::SpanKind::kCpDrain, cp_no,
                             frozen.dirty.size());
   const std::vector<DirtyBlock>& sorted = frozen.dirty;
+  std::optional<CpMetrics> metrics;
+  WAFL_OBS({
+    metrics.emplace(agg.runtime());
+    metrics->phase_sort_ns.record(static_cast<double>(frozen.sort_ns));
+  });
 
   // Phase 1: physical allocation in write order — a serial plan assigns
   // demand to RAID groups (round-robin rotation + skip bias), then the
@@ -152,8 +159,8 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   WAFL_ASSERT_MSG(ok, "aggregate out of space during CP");
   alloc_span.set_b(pvbns.size());
   alloc_span.end();
-  WAFL_OBS(CpMetrics(agg.runtime())
-               .phase_alloc_ns.record(static_cast<double>(phase_timer.lap())));
+  WAFL_OBS(
+      metrics->phase_alloc_ns.record(static_cast<double>(phase_timer.lap())));
 
   // Phase 2: per-volume virtual allocation and remapping — parallel
   // across volumes when a pool is supplied [10].
@@ -180,9 +187,8 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   }
   volumes_span.set_b(slices.size());
   volumes_span.end();
-  WAFL_OBS(CpMetrics(agg.runtime())
-               .phase_volumes_ns.record(
-                   static_cast<double>(phase_timer.lap())));
+  WAFL_OBS(metrics->phase_volumes_ns.record(
+      static_cast<double>(phase_timer.lap())));
 
   // Phase 2b: reclaim a bounded slice of any pending delayed frees
   // (snapshot-deletion debt) — richest regions first, a few regions per
@@ -196,9 +202,8 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   agg.release_pvbns(reclaimed_pvbns);
   delayed_span.set_b(reclaimed_pvbns.size());
   delayed_span.end();
-  WAFL_OBS(CpMetrics(agg.runtime())
-               .phase_delayed_free_ns.record(
-                   static_cast<double>(phase_timer.lap())));
+  WAFL_OBS(metrics->phase_delayed_free_ns.record(
+      static_cast<double>(phase_timer.lap())));
 
   // Phase 3: the CP boundary — apply frees, rebalance caches, flush
   // metafiles, persist TopAA, account device time.  The aggregate side
@@ -220,7 +225,7 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
   // Fold this CP's stats into the runtime's registry (one batch of adds
   // per CP).
   WAFL_OBS({
-    CpMetrics m(agg.runtime());
+    CpMetrics& m = *metrics;
     m.phase_boundary_ns.record(static_cast<double>(phase_timer.lap()));
     m.total_ns.record(static_cast<double>(obs::monotonic_ns() - cp_start_ns));
     m.ops.add(stats.ops);

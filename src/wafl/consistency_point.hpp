@@ -39,6 +39,9 @@ class ConsistencyPoint {
     std::vector<DirtyBlock> dirty;
     std::uint32_t cp_no = 0;
     std::uint64_t start_ns = 0;
+    /// freeze()'s sort-phase time; drain() records it with the other
+    /// phase histograms.
+    std::uint64_t sort_ns = 0;
   };
 
   /// Groups `dirty` by volume id, each volume's blocks kept in their

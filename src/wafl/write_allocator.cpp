@@ -286,7 +286,7 @@ BitmapMetafile::FreeDelta RgAllocator::cp_boundary(
     std::span<const Vbn> frees) {
   obs::TraceSpan span(obs::SpanKind::kFcRgBoundary, raid_.id(), frees.size());
   // Apply this group's share of the CP's deferred frees: clear the bits
-  // word-batched (this group's bitmap words are disjoint from every other
+  // in one batch (this group's bitmap words are disjoint from every other
   // group's; the shared free-count summary and dirty set are settled
   // serially by the caller via apply_free_deltas) and tell
   // translation-layer media (TRIM) in deferral order, as the per-bit

@@ -157,7 +157,7 @@ class RgAllocator {
 
   /// The group-disjoint half of the CP boundary; safe to run concurrently
   /// with other groups' cp_boundary calls.  Clears this group's deferred
-  /// frees word-batched (this group's bitmap words are disjoint from
+  /// frees in one batch (this group's bitmap words are disjoint from
   /// every other group's), invalidates translated media in deferral
   /// order, folds score deltas into the cache, re-admits retired AAs, and
   /// stages — but does not write — the group's TopAA block image.

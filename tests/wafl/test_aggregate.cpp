@@ -5,6 +5,7 @@
 #include <set>
 
 #include "util/thread_pool.hpp"
+#include "wafl/consistency_point.hpp"
 
 namespace wafl {
 namespace {
@@ -377,6 +378,65 @@ TEST(Aggregate, VolumesShareThePhysicalPool) {
   EXPECT_EQ(v0.id(), 0u);
   EXPECT_EQ(v1.id(), 1u);
   EXPECT_NE(&agg.volume(0), &agg.volume(1));
+}
+
+TEST(Aggregate, OwnerOfIgnoresFreedBlocks) {
+  // One group of 12 288 blocks, so the third CP has to reuse blocks the
+  // second one freed.  release_pvbns leaves a freed block's owner entry
+  // stale; owner_of must still answer from the activemap bit.
+  AggregateConfig cfg = two_rg_hdd();
+  cfg.raid_groups.resize(1);
+  cfg.raid_groups[0].device_blocks = 4096;
+  Aggregate agg(cfg, 7);
+  FlexVolConfig vcfg;
+  vcfg.vvbn_blocks = 32 * 1024;
+  vcfg.file_blocks = 12'000;
+  vcfg.aa_blocks = 1024;
+  FlexVol& vol = agg.add_volume(vcfg);
+  const auto cp = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::vector<DirtyBlock> dirty;
+    for (std::uint64_t l = lo; l < hi; ++l) dirty.push_back({0, l});
+    ConsistencyPoint::run(agg, dirty);
+  };
+  const auto pvbns_of = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::set<Vbn> out;
+    for (std::uint64_t l = lo; l < hi; ++l) out.insert(vol.pvbn_of(l));
+    return out;
+  };
+
+  // A pvbn freed by a CP reads nullopt once the boundary has freed it.
+  cp(0, 4000);
+  const std::set<Vbn> freed = pvbns_of(0, 4000);
+  cp(0, 4000);
+  for (const Vbn p : freed) {
+    ASSERT_FALSE(agg.activemap().is_allocated(p));
+    ASSERT_FALSE(agg.owner_of(p).has_value()) << "pvbn " << p;
+  }
+
+  // A reallocated block reports its new owner.
+  cp(4000, 12'000);
+  std::uint64_t reused = 0;
+  for (std::uint64_t l = 4000; l < 12'000; ++l) {
+    const Vbn p = vol.pvbn_of(l);
+    const auto owner = agg.owner_of(p);
+    ASSERT_TRUE(owner.has_value());
+    EXPECT_EQ(owner->vol, 0u);
+    EXPECT_EQ(owner->vvbn, vol.vvbn_of(l));
+    if (freed.contains(p)) ++reused;
+  }
+  // Only total - 8000 blocks were never written before this CP.
+  EXPECT_GE(reused, 8000u - (agg.total_blocks() - 8000u));
+
+  // A freed block later seeded by seed_rg_occupancy belongs to no volume.
+  const std::set<Vbn> refreed = pvbns_of(4000, 4200);
+  cp(4000, 4200);
+  agg.scan_rebuild();  // a remount: seeding needs no AA held open
+  Rng rng(3);
+  agg.seed_rg_occupancy(0, 1.0, rng);
+  for (const Vbn p : refreed) {
+    ASSERT_TRUE(agg.activemap().is_allocated(p));
+    ASSERT_FALSE(agg.owner_of(p).has_value()) << "pvbn " << p;
+  }
 }
 
 }  // namespace

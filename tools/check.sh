@@ -2,7 +2,10 @@
 # Repo health check: builds and tests the configurations that must stay
 # green.
 #
-#   tools/check.sh               default (obs ON) + obs-OFF builds, ctest both
+#   tools/check.sh               default (obs ON) + obs-OFF builds, ctest both,
+#                                and a Release build (no run) of the repo
+#                                benchmark in perfbench/, so a library change
+#                                that breaks its compile fails here
 #   tools/check.sh --sanitize    also build+test an ASan+UBSan config
 #   tools/check.sh --tsan        also build a ThreadSanitizer config and run
 #                                the concurrency-sensitive suites (parallel
@@ -43,7 +46,8 @@
 #                                (whole-CP span timeline checks, excluded
 #                                from the default -LE slow pass)
 #
-# Build trees: build/ (default), build-obs-off/, build-asan/, build-tsan/.
+# Build trees: build/ (default), build-obs-off/, build-perfbench/,
+# build-asan/, build-tsan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +85,14 @@ build_and_test() {
 
 build_and_test build
 build_and_test build-obs-off -DWAFL_OBS_ENABLED=OFF
+
+# The repo benchmark compiles the library sources itself (perfbench/run.py
+# builds the same project); build it so its compile breaks here, not at
+# benchmark time.
+echo "=== configure build-perfbench (Release) ==="
+cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+echo "=== build build-perfbench ==="
+cmake --build build-perfbench -j "$JOBS"
 
 if [[ $SANITIZE -eq 1 ]]; then
   build_and_test build-asan -DENABLE_SANITIZERS=ON
