@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/scan_pipeline.hpp"
 #include "core/topaa.hpp"
 #include "util/thread_pool.hpp"
 #include "wafl/consistency_point.hpp"
@@ -167,8 +166,7 @@ struct RecoveryBench {
   double scan_parallel_ms = 0.0;
   double scan_speedup = 0.0;         // measured, 4-worker pool
   double scan_amdahl_w4 = 0.0;       // projected from serial phase split
-  double scan_setup_ms = 0.0, scan_read_ms = 0.0, scan_seed_ms = 0.0;
-  double scan_build_ms = 0.0, scan_fold_ms = 0.0;
+  double scan_read_ms = 0.0, scan_seed_ms = 0.0, scan_build_ms = 0.0;
   bool scan_determinism_ok = false;
   double iron_serial_ms = 0.0;
   double iron_parallel_ms = 0.0;
@@ -229,19 +227,17 @@ RecoveryBench measure_recovery(std::size_t vol_count,
   r.scan_serial_ms = wall_ms_since(t0);
   const std::uint64_t digest_serial = cache_digest(agg);
   ScanProfile& prof = scan_profile();
-  r.scan_setup_ms = static_cast<double>(prof.setup_ns.load()) / 1e6;
   r.scan_read_ms = static_cast<double>(prof.read_ns.load()) / 1e6;
   r.scan_seed_ms = static_cast<double>(prof.seed_ns.load()) / 1e6;
   r.scan_build_ms = static_cast<double>(prof.build_ns.load()) / 1e6;
-  r.scan_fold_ms = static_cast<double>(prof.fold_ns.load()) / 1e6;
-  const double serial_part = r.scan_setup_ms + r.scan_fold_ms;
+  // Every profiled phase fans out (block walk, per-group and per-volume
+  // scoring and builds): the projection has no serial term.
   const double parallel_part = r.scan_read_ms + r.scan_seed_ms +
                                r.scan_build_ms;
-  const double total = serial_part + parallel_part;
   r.scan_amdahl_w4 =
-      total > 0.0 ? total / (serial_part + parallel_part / 4.0) : 0.0;
+      parallel_part > 0.0 ? parallel_part / (parallel_part / 4.0) : 0.0;
 
-  // Scan path, 4-worker pipelined: same bytes, must be the same digest.
+  // Scan path, 4 workers: same bytes, must be the same digest.
   t0 = std::chrono::steady_clock::now();
   mount_all(par_agg, /*use_topaa=*/false);
   r.scan_parallel_ms = wall_ms_since(t0);
@@ -340,17 +336,16 @@ int main() {
 
   // (C) recovery-path parallelism at the largest vol-size point.
   const RecoveryBench rb = measure_recovery(vols, sizes.back());
-  bench::print_section("(C) parallel recovery (pFSCK-style scan + Iron)");
+  bench::print_section(
+      "(C) parallel recovery (one-level scan fan-out + Iron)");
   std::printf(
       "  scan : serial %.2f ms, 4-worker %.2f ms, speedup %.2fx, "
       "Amdahl(w4) %.2fx, determinism %s\n",
       rb.scan_serial_ms, rb.scan_parallel_ms, rb.scan_speedup,
       rb.scan_amdahl_w4, rb.scan_determinism_ok ? "ok" : "DIVERGED");
   std::printf(
-      "         phases: setup %.2f read %.2f seed %.2f build %.2f "
-      "fold %.2f ms\n",
-      rb.scan_setup_ms, rb.scan_read_ms, rb.scan_seed_ms, rb.scan_build_ms,
-      rb.scan_fold_ms);
+      "         phases: read %.2f seed %.2f build %.2f ms\n",
+      rb.scan_read_ms, rb.scan_seed_ms, rb.scan_build_ms);
   std::printf(
       "  iron : serial %.2f ms (verify %.2f + apply %.2f), 4-worker "
       "%.2f ms, speedup %.2fx, Amdahl(w4) %.2fx, determinism %s\n",
@@ -387,8 +382,7 @@ int main() {
         "  \"scan\": {\"serial_ms\": %.3f, \"parallel_ms_w4\": %.3f,\n"
         "    \"scan_parallel_speedup\": %.3f, \"scan_amdahl_speedup_w4\": "
         "%.3f,\n"
-        "    \"setup_ms\": %.3f, \"read_ms\": %.3f, \"seed_ms\": %.3f, "
-        "\"build_ms\": %.3f, \"fold_ms\": %.3f,\n"
+        "    \"read_ms\": %.3f, \"seed_ms\": %.3f, \"build_ms\": %.3f,\n"
         "    \"determinism_ok\": %s},\n"
         "  \"iron\": {\"serial_ms\": %.3f, \"parallel_ms_w4\": %.3f,\n"
         "    \"iron_repair_speedup\": %.3f, \"iron_amdahl_speedup_w4\": "
@@ -406,8 +400,8 @@ int main() {
         big_count.topaa_ms > 0.0 ? big_count.scan_ms / big_count.topaa_ms
                                  : 0.0,
         rb.scan_serial_ms, rb.scan_parallel_ms, rb.scan_speedup,
-        rb.scan_amdahl_w4, rb.scan_setup_ms, rb.scan_read_ms,
-        rb.scan_seed_ms, rb.scan_build_ms, rb.scan_fold_ms,
+        rb.scan_amdahl_w4, rb.scan_read_ms, rb.scan_seed_ms,
+        rb.scan_build_ms,
         rb.scan_determinism_ok ? "true" : "false",
         rb.iron_serial_ms, rb.iron_parallel_ms, rb.iron_speedup,
         rb.iron_amdahl_w4, rb.iron_verify_ms, rb.iron_apply_ms,

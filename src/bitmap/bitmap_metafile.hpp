@@ -207,29 +207,26 @@ class BitmapMetafile {
   /// summary.  This is the "linear walk of the bitmap metafiles" mount path
   /// (§3.4).  Each block is one word-level copy plus a popcount; with a
   /// pool the whole walk (read + copy + recount) fans out per block, which
-  /// the concurrent-safe BlockStore makes sound.
+  /// the concurrent-safe BlockStore makes sound.  Per-AA scoring
+  /// (AaScoreBoard's metafile constructor) runs after it returns.
   void load_all(ThreadPool* pool = nullptr);
-
-  /// One step of load_all(): reads metafile block `b` from the backing
-  /// store, installing its bit words and per-block free summary.  Blocks
-  /// touch disjoint word ranges (kBitsPerBitmapBlock is a multiple of
-  /// 64) and the store allows disjoint-slot concurrent reads, so
-  /// distinct blocks may load concurrently from any threads.  The
-  /// caller must load every block exactly once and then call
-  /// finish_load() — this is the entry point the pipelined mount scan
-  /// uses to interleave its own seeding with the walk.
-  void load_block(std::uint64_t b);
-
-  /// Serial epilogue to a caller-driven load_block() walk: recomputes
-  /// the free total from the per-block summaries and starts a fresh CP
-  /// interval (exactly what load_all() does after its own walk).
-  void finish_load();
 
   /// Extends the tracked VBN space (RAID-group growth, §3.1).  New bits
   /// are free; new metafile blocks start clean.
   void grow(std::uint64_t new_nbits);
 
  private:
+  /// One step of load_all(): reads metafile block `b` from the backing
+  /// store, installing its bit words and per-block free summary.  Blocks
+  /// touch disjoint word ranges (kBitsPerBitmapBlock is a multiple of
+  /// 64) and the store allows disjoint-slot concurrent reads, so
+  /// distinct blocks may load concurrently.
+  void load_block(std::uint64_t b);
+
+  /// Serial epilogue to load_all()'s walk: recomputes the free total from
+  /// the per-block summaries and starts a fresh CP interval.
+  void finish_load();
+
   void mark_dirty(std::uint64_t block);
   void serialize_block(std::uint64_t block,
                        std::span<std::byte> out) const;

@@ -1,7 +1,5 @@
 #include "core/scoreboard.hpp"
 
-#include "util/thread_pool.hpp"
-
 namespace wafl {
 
 AaScoreBoard::AaScoreBoard(const AaLayout& layout)
@@ -15,32 +13,16 @@ AaScoreBoard::AaScoreBoard(const AaLayout& layout)
 }
 
 AaScoreBoard::AaScoreBoard(const AaLayout& layout,
-                           const BitmapMetafile& metafile, ThreadPool* pool)
+                           const BitmapMetafile& metafile)
     : layout_(layout),
       scores_(layout.aa_count()),
       deltas_(layout.aa_count(), 0),
       dirty_flag_(layout.aa_count(), false) {
   WAFL_ASSERT(layout.base() + layout.total_blocks() <= metafile.size_bits());
-  auto scan_one = [&](std::size_t aa) {
-    const auto id = static_cast<AaId>(aa);
+  for (AaId aa = 0; aa < scores_.size(); ++aa) {
     scores_[aa] = static_cast<AaScore>(
-        metafile.free_in_range(layout_.aa_begin(id), layout_.aa_end(id)));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, scores_.size(), scan_one);
-  } else {
-    for (std::size_t aa = 0; aa < scores_.size(); ++aa) scan_one(aa);
+        metafile.free_in_range(layout_.aa_begin(aa), layout_.aa_end(aa)));
   }
-}
-
-AaScoreBoard::AaScoreBoard(const AaLayout& layout,
-                           std::vector<AaScore> scores)
-    : layout_(layout),
-      scores_(std::move(scores)),
-      deltas_(layout.aa_count(), 0),
-      dirty_flag_(layout.aa_count(), false) {
-  WAFL_ASSERT_MSG(scores_.size() == layout.aa_count(),
-                  "adopted scores must cover every AA");
 }
 
 void AaScoreBoard::note_delta(AaId aa, std::int32_t d) {

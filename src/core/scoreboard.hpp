@@ -25,8 +25,6 @@
 
 namespace wafl {
 
-class ThreadPool;
-
 /// One score change produced by a CP boundary.
 struct ScoreChange {
   AaId aa;
@@ -39,16 +37,11 @@ class AaScoreBoard {
   /// Initializes all scores to the AA capacities (an empty file system).
   explicit AaScoreBoard(const AaLayout& layout);
 
-  /// Initializes scores by scanning `metafile` free counts; parallelized
-  /// across AAs when `pool` is given.  `metafile` bit 0 of the scan region
-  /// corresponds to layout.base().
-  AaScoreBoard(const AaLayout& layout, const BitmapMetafile& metafile,
-               ThreadPool* pool = nullptr);
-
-  /// Adopts already-computed scores (one per AA, in AA order) — the
-  /// pipelined mount scan produces the same values the metafile
-  /// constructor would and hands them over without a second walk.
-  AaScoreBoard(const AaLayout& layout, std::vector<AaScore> scores);
+  /// Initializes scores by scanning `metafile` free counts — the per-AA
+  /// scoring half of the §3.4 scan mount, run after the metafile is
+  /// loaded.  `metafile` bit 0 of the scan region corresponds to
+  /// layout.base().
+  AaScoreBoard(const AaLayout& layout, const BitmapMetafile& metafile);
 
   const AaLayout& layout() const noexcept { return layout_; }
 

@@ -117,30 +117,6 @@ class MpscLog {
     return n;
   }
 
-  /// Live single-consumer incremental drain: folds entries
-  /// [*cursor, size()) in index order through `f`, advancing `*cursor`.
-  /// Unlike consume_ordered() this never resets the log, so it is safe
-  /// to call WHILE producers are still pushing — it sees some prefix of
-  /// the eventual index order (the acquire on next_ plus the per-slot
-  /// ready acquire make each published value visible).  There must be
-  /// exactly one draining thread, and it owns the cursor.  Returns the
-  /// number folded this call.  Reset (consume_ordered or destruction)
-  /// still requires quiescence.
-  template <typename F>
-  std::uint64_t drain_from(std::uint64_t* cursor, F&& f) {
-    const std::uint64_t n = next_.load(std::memory_order_acquire);
-    std::uint64_t drained = 0;
-    for (; *cursor < n; ++*cursor, ++drained) {
-      Slot& s = slot(*cursor);
-      while (!s.ready.load(std::memory_order_acquire)) {
-        // Producer between fetch_add and its release store: a bounded
-        // window (one store away), spin through it.
-      }
-      f(s.value);
-    }
-    return drained;
-  }
-
   /// Read-only walk in index order, no reset — validation/debug.  Same
   /// quiescence contract as consume_ordered().
   template <typename F>

@@ -8,9 +8,16 @@
 //   - per-RAID-group / per-volume CP work that is independent and can be
 //     sharded (cf. "Scalable Write Allocation in the WAFL File System").
 //
-// The pool provides fire-and-forget submission plus a blocking
-// parallel_for over an index range (static chunking — the workloads here
-// are uniform bitmap scans, so dynamic scheduling buys nothing).
+// The pool provides fire-and-forget submission plus blocking loops over
+// an index range: parallel_for (static chunks, for fine uniform loops)
+// and parallel_for_dynamic (a shared counter, for uneven or coarse work).
+//
+// One level of fan-out.  A parallel_for* caller runs one part itself and
+// then waits for the others, which sit in the queue until a free worker
+// takes them.  Issued from inside a pool task, that wait holds a worker;
+// once every worker waits that way, no one is left to run the queued
+// parts.  So code already running on the pool (mount's per-volume loop,
+// for one) calls only serial code.
 #pragma once
 
 #include <condition_variable>

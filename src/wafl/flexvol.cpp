@@ -1,10 +1,9 @@
 #include "wafl/flexvol.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "core/scan_pipeline.hpp"
 #include "obs/obs.hpp"
+#include "wafl/mount.hpp"
 
 namespace wafl {
 namespace {
@@ -259,27 +258,20 @@ bool FlexVol::mount_from_topaa() {
 }
 
 void FlexVol::rebuild_scoreboard() {
-  ThreadPool* pool = rt_->pool();
   // Linear walk of the bitmap metafile (§3.4): read every block back from
-  // the store, then recompute per-AA scores — as one pipelined pass that
-  // overlaps the block reads with the scoring (serial below the cutover
-  // or without a pool; identical scores either way).
-  std::vector<AaScore> scores;
-  const ScanUnit unit{&layout_, &scores};
-  pipelined_bitmap_scan(activemap_.metafile(), std::span(&unit, 1), pool);
-  board_ = AaScoreBoard(layout_, std::move(scores));
+  // the store, then recompute per-AA scores.  Serial: volume scans fan
+  // out one level up, across volumes (mount.cpp).
+  ScanProfile& prof = scan_profile();
+  ScanProfile::timed(prof.read_ns,
+                     [&] { activemap_.metafile().load_all(nullptr); });
+  ScanProfile::timed(prof.seed_ns, [&] {
+    board_ = AaScoreBoard(layout_, activemap_.metafile());
+  });
 }
 
 void FlexVol::scan_rebuild() {
   rebuild_scoreboard();
-  const auto t0 = std::chrono::steady_clock::now();
-  selector_.rebuild();
-  scan_profile().build_ns.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()),
-      std::memory_order_relaxed);
+  ScanProfile::timed(scan_profile().build_ns, [&] { selector_.rebuild(); });
 }
 
 }  // namespace wafl

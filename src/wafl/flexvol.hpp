@@ -54,9 +54,8 @@ struct FlexVolConfig {
 
 class FlexVol {
  public:
-  /// `rt` scopes the volume's metric handles and mount-scan pool; the
-  /// owning Aggregate passes its own runtime, which must outlive the
-  /// volume.
+  /// `rt` scopes the volume's metric handles; the owning Aggregate passes
+  /// its own runtime, which must outlive the volume.
   FlexVol(VolumeId id, const FlexVolConfig& cfg, std::uint64_t rng_seed,
           const Runtime& rt = process_runtime());
 
@@ -160,16 +159,13 @@ class FlexVol {
   /// Seeds the cache from the TopAA metafile — the fast path that gates
   /// the first CP after mount.  Reads only the two TopAA blocks.  Returns
   /// false (after falling back to scan_rebuild) when the metafile is
-  /// missing or damaged.  A damaged-TopAA fallback scan fans out per AA
-  /// on the runtime's pool (pipelined metafile walk); results are
-  /// pool-independent.
+  /// missing or damaged.
   bool mount_from_topaa();
 
   /// Restores the scoreboard by reading the bitmap metafile back from the
   /// store.  After a TopAA mount this runs in the background while the
-  /// seeded cache already serves the allocator (§3.4).  With a pool in
-  /// the runtime the walk + scoring run as the pipelined per-AA scan;
-  /// byte-identical to the serial path at any worker count.
+  /// seeded cache already serves the allocator (§3.4).  Always serial:
+  /// mount runs it inside its per-volume fan-out (see for_each_volume).
   void rebuild_scoreboard();
 
   /// Full (slow) rebuild: rebuild_scoreboard() plus a from-scratch cache

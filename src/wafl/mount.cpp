@@ -25,8 +25,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 // Volumes own disjoint state and stores, so per-volume mount work fans
 // out; the concurrent-safe BlockStore keeps each volume's store walk
-// sound next to the others.  Serial with no pool (or one volume), which
-// is also the replay-exact path for the named mount crash hooks.
+// sound next to the others.  This is the only fan-out over volumes: each
+// volume's own walk is serial, because a pool call from inside a pool
+// task can wait on parts no free worker is left to run (thread_pool.hpp).
+// Serial with no pool (or one volume), which is also the replay-exact
+// path for the named mount crash hooks.
 void for_each_volume(Aggregate& agg, ThreadPool* pool,
                      const std::function<void(VolumeId)>& fn) {
   const std::size_t n = agg.volume_count();
@@ -42,6 +45,11 @@ void for_each_volume(Aggregate& agg, ThreadPool* pool,
 }
 
 }  // namespace
+
+ScanProfile& scan_profile() {
+  static ScanProfile profile;
+  return profile;
+}
 
 MountReport mount_all(Aggregate& agg, bool use_topaa) {
   MountReport report;
@@ -59,10 +67,9 @@ MountReport mount_all(Aggregate& agg, bool use_topaa) {
     for (VolumeId v = 0; v < agg.volume_count(); ++v) {
       WAFL_CRASH_POINT_RT(rt, "mount.before_vol_seed");
       obs::TraceSpan seed_span(obs::SpanKind::kMountVolSeed, v);
-      // The damaged-volume fallback scan inside mount_from_topaa fans
-      // out per AA on the runtime's pool (results are pool-independent);
-      // the volume loop itself stays serial so the per-volume crash hook
-      // keeps its replay-exact firing order.
+      // The volume loop stays serial so the per-volume crash hook keeps
+      // its replay-exact firing order; a damaged volume's fallback scan
+      // inside mount_from_topaa is a serial walk too.
       if (agg.volume(v).mount_from_topaa()) {
         ++report.vols_seeded;
       }
@@ -70,11 +77,9 @@ MountReport mount_all(Aggregate& agg, bool use_topaa) {
   } else {
     WAFL_CRASH_POINT_RT(rt, "mount.before_scan");
     agg.scan_rebuild();
-    // Two levels of fan-out: volumes in parallel, and each volume's scan
-    // fans out per AA on the same pool.  The nested submission is safe
-    // because each volume's seeder (the task running the volume) steals
-    // read work when no pool worker picks up its readers — see
-    // core/scan_pipeline.hpp.
+    // One level of fan-out: the aggregate scan above fans out on its own
+    // (metafile blocks, then RAID groups), then the volumes scan in
+    // parallel, each one serially.
     for_each_volume(agg, pool,
                     [&](VolumeId v) { agg.volume(v).scan_rebuild(); });
   }

@@ -19,13 +19,42 @@
 // popcount/build term, measured for real).
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "wafl/aggregate.hpp"
 
 namespace wafl {
 
-class ThreadPool;
+/// Accumulated scan-phase timings (nanoseconds, fetch_add relaxed — safe
+/// from any thread).  In a serial run the buckets partition the scan's
+/// wall time, which is what fig10's Amdahl projection consumes; with a
+/// pool they are per-thread CPU attributions, not wall.
+struct ScanProfile {
+  std::atomic<std::uint64_t> read_ns{0};   // metafile block loads
+  std::atomic<std::uint64_t> seed_ns{0};   // per-AA scoring
+  std::atomic<std::uint64_t> build_ns{0};  // heap/HBPS builds
+
+  void reset() { read_ns = seed_ns = build_ns = 0; }
+
+  /// Runs fn() and adds its wall time to `bucket`.
+  template <typename F>
+  static void timed(std::atomic<std::uint64_t>& bucket, F&& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    bucket.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()),
+        std::memory_order_relaxed);
+  }
+};
+
+/// Process-global profile (same pattern as CpPhaseProfile): benches reset
+/// it, run a scan, and read the buckets back.
+ScanProfile& scan_profile();
 
 struct MountReport {
   bool used_topaa = false;
@@ -41,7 +70,8 @@ struct MountReport {
 
 /// Brings every AA cache in the aggregate (and its FlexVols) to an
 /// operational state via the requested path.  A pool in the aggregate's
-/// runtime parallelizes the scan path's bitmap walks.
+/// runtime fans the scan path out one level deep: the aggregate
+/// metafile's block walk, then its RAID groups, then the volumes.
 MountReport mount_all(Aggregate& agg, bool use_topaa);
 
 /// After a TopAA mount: completes the caches in the background (full

@@ -5,10 +5,10 @@
 #include <string>
 
 #include "core/aa_sizing.hpp"
-#include "core/scan_pipeline.hpp"
 #include "device/ssd.hpp"
 #include "fault/crash_point.hpp"
 #include "util/thread_pool.hpp"
+#include "wafl/mount.hpp"
 
 namespace wafl {
 
@@ -370,22 +370,19 @@ bool RgAllocator::mount_seed() {
   TopAaFile topaa(topaa_store_, topaa_base_);
   if (selector_.load_topaa(topaa)) return true;
   // Damaged/missing TopAA: rebuild this group the slow way.
-  board_ = AaScoreBoard(layout_, activemap_.metafile());
-  selector_.rebuild();
+  rescan();
   return false;
 }
 
-void RgAllocator::adopt_scan(std::vector<AaScore> scores) {
-  board_ = AaScoreBoard(layout_, std::move(scores));
-  window_writes_.clear();
-  selector_.rebuild();
-}
-
-void RgAllocator::reseed_board() {
-  WAFL_ASSERT_MSG(window_writes_.empty() && selector_.open_aa() == kInvalidAaId,
-                  "reseed_board during a CP");
-  board_ = AaScoreBoard(layout_, activemap_.metafile());
-  selector_.rebuild();
+void RgAllocator::rescan() {
+  ScanProfile& prof = scan_profile();
+  ScanProfile::timed(prof.seed_ns, [&] {
+    board_ = AaScoreBoard(layout_, activemap_.metafile());
+  });
+  ScanProfile::timed(prof.build_ns, [&] {
+    window_writes_.clear();
+    selector_.rebuild();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -804,38 +801,26 @@ std::size_t WriteAllocator::mount_from_topaa() {
 void WriteAllocator::scan_rebuild() {
   ThreadPool* pool = rt_->pool();
   obs::TraceSpan span(obs::SpanKind::kMountScan, 0, groups_.size());
-  // One pipelined walk of the shared aggregate metafile scores every
-  // group's AAs (the groups are the scan units); the per-group adoption
-  // then only resets allocator state and rebuilds the cache.  The
-  // geometry here has 2-3 groups, so the intra-metafile per-AA fan-out
-  // is where the parallelism lives, not the group loop.
-  std::vector<std::vector<AaScore>> scores(groups_.size());
-  std::vector<ScanUnit> units(groups_.size());
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    units[i] = {&groups_[i]->layout(), &scores[i]};
-  }
-  pipelined_bitmap_scan(activemap_.metafile(), units, pool);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto adopt_one = [&](std::size_t i) {
-    groups_[i]->adopt_scan(std::move(scores[i]));
-  };
+  // Linear walk of the shared aggregate metafile (§3.4), fanned out per
+  // metafile block; then each group scores its own AAs and rebuilds its
+  // cache, fanned out per group.  The loops run one after the other, so
+  // no pool call is issued from inside a pool task.
+  ScanProfile::timed(scan_profile().read_ns,
+                     [&] { activemap_.metafile().load_all(pool); });
+  auto rescan_one = [&](std::size_t i) { groups_[i]->rescan(); };
   if (pool != nullptr && groups_.size() > 1) {
-    pool->parallel_for_dynamic(0, groups_.size(), adopt_one);
+    pool->parallel_for_dynamic(0, groups_.size(), rescan_one);
   } else {
-    for (std::size_t i = 0; i < groups_.size(); ++i) adopt_one(i);
+    for (std::size_t i = 0; i < groups_.size(); ++i) rescan_one(i);
   }
-  scan_profile().build_ns.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()),
-      std::memory_order_relaxed);
 }
 
 void WriteAllocator::seed_occupancy(RaidGroupId rg_id, double fraction,
                                     Rng& rng) {
   RgAllocator& rg = *groups_.at(rg_id);
   WAFL_ASSERT(fraction >= 0.0 && fraction <= 1.0);
+  WAFL_ASSERT_MSG(rg.window_idle() && rg.selector_.open_aa() == kInvalidAaId,
+                  "seed_occupancy during a CP");
   const Vbn begin = rg.base();
   const Vbn end = rg.end();
   for (Vbn v = begin; v < end; ++v) {
@@ -844,7 +829,7 @@ void WriteAllocator::seed_occupancy(RaidGroupId rg_id, double fraction,
     }
   }
   activemap_.metafile().begin_cp();  // discard the artificial dirty set
-  rg.reseed_board();
+  rg.rescan();
 }
 
 }  // namespace wafl

@@ -187,15 +187,11 @@ class RgAllocator {
   /// from TopAA.
   bool mount_seed();
 
-  /// Adopts the per-AA scores the pipelined mount scan computed from the
-  /// (already loaded) activemap — identical to a scoreboard rescan by
-  /// construction, since the pipeline uses the scoreboard's own scoring
-  /// expression — then resets allocator state and rebuilds the cache.
-  void adopt_scan(std::vector<AaScore> scores);
-
-  /// Re-derives the scoreboard from the activemap and rebuilds the cache
-  /// (aging-seed support).  Asserts the group is quiescent.
-  void reseed_board();
+  /// Re-derives the scoreboard from the (already loaded) activemap,
+  /// drops the tetris window and rebuilds the cache from scratch: the
+  /// per-group half of the scan mount, also run by a damaged TopAA slot's
+  /// fallback and by the aging seeder.
+  void rescan();
 
  private:
   friend class WriteAllocator;

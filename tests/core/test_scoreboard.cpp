@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wafl {
 namespace {
@@ -43,22 +42,6 @@ TEST(AaScoreBoard, ScanWithBaseOffset) {
   AaScoreBoard board(l, mf);
   EXPECT_EQ(board.score(0), 1022u);
   EXPECT_EQ(board.score(1), 1023u);
-}
-
-TEST(AaScoreBoard, ParallelScanMatchesSerial) {
-  const AaLayout l = AaLayout::flat(0, 64 * 1024, 1024);
-  BitmapMetafile mf(64 * 1024);
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    const Vbn v = rng.below(64 * 1024);
-    if (!mf.test(v)) mf.set_allocated(v);
-  }
-  AaScoreBoard serial(l, mf);
-  ThreadPool pool(3);
-  AaScoreBoard parallel(l, mf, &pool);
-  for (AaId aa = 0; aa < serial.aa_count(); ++aa) {
-    EXPECT_EQ(serial.score(aa), parallel.score(aa));
-  }
 }
 
 TEST(AaScoreBoard, DeltasAreBatchedUntilCpBoundary) {

@@ -248,12 +248,12 @@ TEST(Mount, RebuildRetracksObjectStoreCursorAa) {
 
 // --- Parallel scan determinism oracle (PR 9) -------------------------------
 //
-// The pipelined scan (core/scan_pipeline.hpp) claims byte-identical
-// results at any worker count.  These tests prove it over full cache
-// digests — every scoreboard score, every heap entry, every HBPS
-// encoding — not just best-AA spot checks, on rigs whose volumes are big
-// enough (5 bitmap-metafile blocks) that the per-volume scans cross
-// kParallelScanMinBlocks and actually run pipelined.
+// The scan mount fans out one level at a time — the aggregate metafile's
+// block walk, then its RAID groups, then the volumes — and claims
+// byte-identical results at any worker count.  These tests prove it over
+// full cache digests — every scoreboard score, every heap entry, every
+// HBPS encoding — not just best-AA spot checks, for every mount path that
+// reaches the scan, on rigs whose volumes span 5 bitmap-metafile blocks.
 
 std::vector<std::byte> image_bytes(const TopAaImage& img) {
   std::vector<std::byte> out;
@@ -326,7 +326,7 @@ std::unique_ptr<Aggregate> make_big(bool object_store_pool,
   auto agg =
       std::make_unique<Aggregate>(cfg, 7, Runtime{}.with_pool(pool));
   FlexVolConfig vcfg;
-  vcfg.vvbn_blocks = 160 * 1024;  // 5 bitmap-metafile blocks: pipelined
+  vcfg.vvbn_blocks = 160 * 1024;  // 5 bitmap-metafile blocks
   vcfg.file_blocks = 64 * 1024;
   vcfg.aa_blocks = 4096;
   agg->add_volume(vcfg);
@@ -352,21 +352,52 @@ std::uint64_t total_block_writes(Aggregate& agg) {
   return n;
 }
 
-void check_scan_determinism(bool object_store_pool) {
-  auto ref = make_big(object_store_pool);
-  const std::uint64_t writes0 = total_block_writes(*ref);
-  mount_all(*ref, /*use_topaa=*/false);
-  // The scan is read-only: recomputation never touches media.
-  EXPECT_EQ(total_block_writes(*ref), writes0);
-  const CacheDigest want = digest_of(*ref);
+/// The mount paths that reach the scan.
+enum class ScanPath {
+  kScanMount,      // mount_all(use_topaa=false)
+  kRecoverMount,   // recover_mount(use_topaa=false): reload, then scan
+  kTopAaFallback,  // TopAA mount; one volume's slot is damaged
+};
 
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ThreadPool pool(workers);
-    auto agg = make_big(object_store_pool, &pool);
-    mount_all(*agg, /*use_topaa=*/false);
-    EXPECT_TRUE(digest_of(*agg) == want)
-        << "parallel scan diverged from serial";
+void mount_via(Aggregate& agg, ScanPath path) {
+  switch (path) {
+    case ScanPath::kScanMount:
+      mount_all(agg, /*use_topaa=*/false);
+      break;
+    case ScanPath::kRecoverMount:
+      recover_mount(agg, /*use_topaa=*/false);
+      break;
+    case ScanPath::kTopAaFallback: {
+      // Volume 1's TopAA slot fails its checksum, so its
+      // mount_from_topaa falls back to scan_rebuild.
+      BlockStore& store = agg.volume(1).store();
+      store.corrupt(store.capacity_blocks() - TopAaFile::kRaidAgnosticBlocks,
+                    5);
+      EXPECT_EQ(mount_all(agg, /*use_topaa=*/true).vols_seeded, 1u);
+      break;
+    }
+  }
+}
+
+void check_scan_determinism(bool object_store_pool) {
+  for (const ScanPath path : {ScanPath::kScanMount, ScanPath::kRecoverMount,
+                              ScanPath::kTopAaFallback}) {
+    SCOPED_TRACE("path=" + std::to_string(static_cast<int>(path)));
+    auto ref = make_big(object_store_pool);
+    const std::uint64_t writes0 = total_block_writes(*ref);
+    mount_via(*ref, path);
+    // The scan is read-only: recomputation never touches media.
+    EXPECT_EQ(total_block_writes(*ref), writes0);
+    const CacheDigest want = digest_of(*ref);
+
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      ThreadPool pool(workers);
+      auto agg = make_big(object_store_pool, &pool);
+      mount_via(*agg, path);
+      EXPECT_TRUE(digest_of(*agg) == want)
+          << "parallel scan diverged from serial";
+    }
   }
 }
 
@@ -404,10 +435,10 @@ TEST(MountParallel, CompleteBackgroundSerialAndOneWorkerAgree) {
 }
 
 TEST(MountParallel, EmitWhileScanStress) {
-  // TSAN target (tools/check.sh --tsan): a 4-worker pipelined scan emits
+  // TSAN target (tools/check.sh --tsan): a 4-worker scan mount emits
   // spans from pool workers while a reader thread concurrently snapshots
-  // the collector.  Proves the scan's handoff machinery and the obs layer
-  // race-free under load.
+  // the collector.  Proves the scan's block-load, per-group and
+  // per-volume fan-outs and the obs layer race-free under load.
   obs::spans().clear();
   obs::set_span_capture(true);
   ThreadPool pool(4);

@@ -106,15 +106,15 @@ if [[ $TSAN -eq 1 ]]; then
   echo "=== ctest build-tsan (concurrency suites) ==="
   # Everything that drives a ThreadPool or races writer threads: the
   # parallel CP paths and the determinism contract, the engine itself, the
-  # pool primitives, the parallel scans (mount, scoreboard build, metafile
-  # load), the pipelined recovery scan and its MpscLog live drain, the
-  # parallel Iron verify fan-out, the 4-worker emit-while-scan stress
+  # pool primitives, the scan mount's one-level fan-outs (metafile block
+  # load, per-group scoring, per-volume scans), the parallel Iron verify
+  # fan-out, the 4-worker emit-while-scan stress
   # (MountParallel.EmitWhileScanStress), the span layer's concurrent
   # emit-while-snapshot stress, and the sharded-intake battery (writer
   # matrix, emit-while-freeze race, CAS claim fuzz, MPSC delayed-free
   # staging).
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'ParallelCp|CpDeterminism|OverlappedCp|ConcurrentIntake|AtomicClaimFuzz|DelayedFreeLog|WriteAllocatorEngine|ThreadPool|Mount|Scoreboard|BitmapMetafile|BlockStoreConcurrent|SpanTrace|Iron|ScanPipeline|MpscLogDrain|Fleet' |
+    -R 'ParallelCp|CpDeterminism|OverlappedCp|ConcurrentIntake|AtomicClaimFuzz|DelayedFreeLog|WriteAllocatorEngine|ThreadPool|Mount|Scoreboard|BitmapMetafile|BlockStoreConcurrent|SpanTrace|Iron|Fleet' |
     tail -3
 fi
 
