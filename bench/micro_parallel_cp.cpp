@@ -4,11 +4,11 @@
 // (WriteAllocator::allocate) runs a serial plan that partitions demand
 // across RAID groups, executes the group-disjoint tetris fills on the
 // pool, and merges the staged deltas serially.  The boundary
-// (WriteAllocator::finish_cp) partitions the CP's deferred frees per group
-// serially, fans the group-disjoint half out (free application + device
+// (WriteAllocator::finish_cp) fans the group-disjoint half out (each
+// group drains its own free list: free application + device
 // invalidation, score-delta folds, cache re-admits, TopAA image builds),
-// and keeps the shared half (bitmap-metafile accounting and flush, TopAA
-// commits, stats folds) serial.  This bench measures both slices' wall
+// then the metafile flush and TopAA commits, and keeps the shared half
+// (bitmap-metafile summary merge, stats folds) serial.  This bench measures both slices' wall
 // time over a many-group aggregate at worker counts {serial, 1, 2, 4, 8}:
 // the parallel runs must stay bit-identical (checked against the serial
 // run's CpStats) while the time drops with workers until the serial tail
@@ -78,7 +78,7 @@ std::unique_ptr<Aggregate> make_agg(const Shape& s, ThreadPool* pool) {
 }
 
 std::vector<DirtyBlock> batch(const Shape& s, Rng& rng) {
-  // Overwrite-heavy so the boundary has real free work to partition.
+  // Overwrite-heavy so the boundary has real free work to apply.
   std::vector<DirtyBlock> out;
   for (std::uint64_t i = 0; i < s.writes_per_cp; ++i) {
     out.push_back({static_cast<VolumeId>(rng.below(s.vols)),
@@ -236,8 +236,6 @@ bool reconcile(const RunResult& serial) {
       {"execute", obs::SpanKind::kWaExecute, p.execute_ms},
       {"alloc_merge", obs::SpanKind::kWaMerge, p.alloc_merge_ms},
       {"windows", obs::SpanKind::kFcWindows, p.windows_ms},
-      {"owner", obs::SpanKind::kFcOwner, p.owner_ms},
-      {"partition", obs::SpanKind::kFcPartition, p.partition_ms},
       {"boundary", obs::SpanKind::kFcBoundary, p.boundary_ms},
       {"merge", obs::SpanKind::kFcMerge, p.merge_ms},
       {"flush", obs::SpanKind::kFcFlush, p.flush_ms},
@@ -276,14 +274,14 @@ int main() {
       bench::fast_mode() ? " (fast mode)" : "", hw);
   bench::print_expectation(
       "allocation and boundary time fall with workers while every run "
-      "stays bit-identical; the serial plan/partition/merge tail bounds "
+      "stays bit-identical; the serial plan/window-flush/merge tail bounds "
       "the speedup");
 
   const RunResult serial = run(s, 0);
   // The serial run's phase split is the Amdahl decomposition: the phases
-  // finish_cp fans out (owner lookup, per-group boundary, metafile flush,
-  // TopAA commits) against the ones it cannot (window flush, partition,
-  // summary merge, stats folds).  On a single-core host the measured
+  // finish_cp fans out (per-group boundary, metafile flush, TopAA
+  // commits) against the ones it cannot (window flush, summary merge,
+  // stats folds).  On a single-core host the measured
   // speedup is pinned near 1x whatever the code does, so the split — and
   // the implied speedup at 4 workers — is the portable scaling headline.
   const double p_ms = serial.phases.parallel_ms();
@@ -298,11 +296,9 @@ int main() {
                   serial.totals.meta_flush_blocks));
   std::printf(
       "phase_split: plan=%.2f execute=%.2f alloc_merge=%.2f windows=%.2f "
-      "owner=%.2f partition=%.2f boundary=%.2f merge=%.2f flush=%.2f "
-      "topaa=%.2f fold=%.2f\n",
+      "boundary=%.2f merge=%.2f flush=%.2f topaa=%.2f fold=%.2f\n",
       serial.phases.plan_ms, serial.phases.execute_ms,
       serial.phases.alloc_merge_ms, serial.phases.windows_ms,
-      serial.phases.owner_ms, serial.phases.partition_ms,
       serial.phases.boundary_ms, serial.phases.merge_ms,
       serial.phases.flush_ms, serial.phases.topaa_ms, serial.phases.fold_ms);
   // The allocation slice's own Amdahl split: the execute phase fans out,

@@ -7,7 +7,9 @@
 // while assigning VBNs.  Frees are deferred: client overwrites and deletes
 // queue the old VBN, and the whole batch is applied once per CP, which both
 // amortizes metafile-block touches and produces the per-AA score deltas in
-// one pass.
+// one pass.  (A FlexVol queues its vvbn frees here; the aggregate queues
+// each pvbn free on its RAID group's own list instead — see
+// RgAllocator::note_free.)
 #pragma once
 
 #include <cstdint>
@@ -58,21 +60,7 @@ class Activemap {
     return n;
   }
 
-  /// Takes the whole deferred batch WITHOUT touching the bitmap: the
-  /// caller applies the bit clears itself — partitioned by RAID group and
-  /// possibly concurrent, via metafile().clear_unaccounted() — and then
-  /// settles the shared free-count/dirty accounting serially with
-  /// metafile().account_frees().  The returned span is what
-  /// last_applied_frees() reports, and stays valid until the next
-  /// defer_free().
-  std::span<const Vbn> take_deferred_frees() {
-    applied_frees_.swap(deferred_frees_);
-    deferred_frees_.clear();
-    return applied_frees_;
-  }
-
-  /// Frees applied by the last apply_deferred_frees() (or handed out by
-  /// the last take_deferred_frees()) call.
+  /// Frees applied by the last apply_deferred_frees() call.
   std::span<const Vbn> last_applied_frees() const noexcept {
     return applied_frees_;
   }

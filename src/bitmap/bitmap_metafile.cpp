@@ -215,16 +215,8 @@ void BitmapMetafile::load_all(ThreadPool* pool) {
   // vector, and one popcount for the summary.  Blocks touch disjoint word
   // ranges and the store allows disjoint-slot concurrent reads, so the
   // whole walk fans out per block (see load_block()).
-  const std::uint64_t nblocks = free_per_block_.size();
-  if (pool == nullptr || nblocks < 2) {
-    for (std::uint64_t b = 0; b < nblocks; ++b) {
-      load_block(b);
-    }
-  } else {
-    pool->parallel_for_dynamic(
-        0, static_cast<std::size_t>(nblocks), /*chunk=*/8,
-        [this](std::size_t b) { load_block(b); });
-  }
+  parallel_for(pool, free_per_block_.size(), 8,
+               [this](std::size_t b) { load_block(b); });
   finish_load();
 }
 

@@ -54,20 +54,22 @@ class BitmapMetafile {
 
   /// Clears the bit for `v` WITHOUT updating the free-count summary or
   /// the dirty set; the caller must pass the same VBNs to account_frees()
-  /// before the next query or flush.  Splitting the two lets bit clears
-  /// run concurrently for VBNs in disjoint 64-bit words (the per-RAID-
-  /// group CP boundary — group ranges are multiples of kTetrisStripes, so
-  /// they never share a word) while the shared summary stays serial.
-  /// Asserts the bit was allocated.
+  /// before the next query or flush.  The CP boundary does not call this
+  /// pair: it uses clear_frees_batched()/apply_free_deltas().  The pair is
+  /// the per-bit reference path the batched fuzz test compares against.
+  /// Same word-disjointness contract as the batched path: bit clears for
+  /// VBNs in disjoint 64-bit words may run concurrently while the shared
+  /// summary stays serial.  Asserts the bit was allocated.
   void clear_unaccounted(Vbn v) {
     WAFL_ASSERT_MSG(bits_.test(v), "freeing a free block");
     bits_.clear(v);
   }
 
   /// Serial companion to clear_unaccounted(): folds already-cleared VBNs
-  /// into the per-block free counts, the total, and the dirty set.
-  /// Per-bit reference path; the CP boundary uses the batched pair
-  /// below (the fuzz suite holds the two equivalent).
+  /// into the per-block free counts, the total, and the dirty set.  The
+  /// per-bit reference path; the CP boundary never calls it, and
+  /// BatchedFreesMatchPerBitFuzz holds the batched pair below equal to
+  /// it.
   void account_frees(std::span<const Vbn> freed);
 
   /// Allocation mirror of clear_unaccounted(): sets the bit for `v`

@@ -41,8 +41,6 @@ std::string_view span_kind_name(SpanKind k) noexcept {
     case SpanKind::kRgFill: return "rg.fill";
     case SpanKind::kRgTetrisFlush: return "rg.tetris_flush";
     case SpanKind::kFcWindows: return "fc.windows";
-    case SpanKind::kFcOwner: return "fc.owner";
-    case SpanKind::kFcPartition: return "fc.partition";
     case SpanKind::kFcBoundary: return "fc.boundary";
     case SpanKind::kFcRgBoundary: return "fc.rg_boundary";
     case SpanKind::kFcMerge: return "fc.merge";

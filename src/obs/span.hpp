@@ -68,9 +68,7 @@ enum class SpanKind : std::uint8_t {
   kRgFill,         // a=rg   b=blocks taken
   kRgTetrisFlush,  // a=rg   b=window blocks
   // WriteAllocator::finish_cp phases (mirror CpPhaseProfile buckets).
-  kFcWindows,
-  kFcOwner,
-  kFcPartition,
+  kFcWindows,  // b=frees deferred
   kFcBoundary,
   kFcRgBoundary,  // a=rg   b=frees applied
   kFcMerge,

@@ -35,9 +35,9 @@ void ThreadPool::submit(std::function<void()> task) {
   WAFL_ASSERT(task != nullptr);
   // Capture the submitter's task context so the task runs as a child of
   // whatever span (or other context) was open at submission time.  Every
-  // parallel_for / parallel_for_dynamic part funnels through here, which
-  // is what lets obs spans nest across the fan-out.  The scope restores
-  // the worker's previous word even if the task throws.
+  // parallel_for part funnels through here, which is what lets obs spans
+  // nest across the fan-out.  The scope restores the worker's previous
+  // word even if the task throws.
   auto wrapped = [ctx = current_task_context(), t = std::move(task)] {
     TaskContextScope scope(ctx);
     t();
@@ -98,45 +98,8 @@ struct PartSync {
 }  // namespace
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
+                              std::size_t chunk,
                               const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t parts = std::min(n, workers_.size() + 1);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  PartSync sync(parts);
-
-  auto run_chunk = [&](std::size_t part) {
-    const std::size_t lo = begin + part * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    try {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (sync.abort.load(std::memory_order_relaxed)) break;
-        fn(i);
-      }
-    } catch (...) {
-      sync.fail(std::current_exception());
-    }
-    sync.part_done();
-  };
-
-  // Workers take parts [1, parts); the caller runs part 0 itself so a
-  // single-threaded pool still makes progress while the queue is busy.
-  for (std::size_t p = 1; p < parts; ++p) {
-    submit([&, p] { run_chunk(p); });
-  }
-  run_chunk(0);
-  sync.wait();
-}
-
-void ThreadPool::parallel_for_dynamic(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t)>& fn) {
-  parallel_for_dynamic(begin, end, 1, fn);
-}
-
-void ThreadPool::parallel_for_dynamic(
-    std::size_t begin, std::size_t end, std::size_t chunk,
-    const std::function<void(std::size_t)>& fn) {
   WAFL_ASSERT(chunk > 0);
   if (begin >= end) return;
   const std::size_t n = end - begin;
@@ -164,8 +127,8 @@ void ThreadPool::parallel_for_dynamic(
     sync.part_done();
   };
 
-  // As in parallel_for: the caller runs one part itself so a busy pool
-  // still makes progress.
+  // Workers take parts [1, parts); the caller runs one part itself so a
+  // single-threaded pool still makes progress while the queue is busy.
   for (std::size_t p = 1; p < parts; ++p) {
     submit([&] { run(); });
   }

@@ -8,11 +8,15 @@
 //   - per-RAID-group / per-volume CP work that is independent and can be
 //     sharded (cf. "Scalable Write Allocation in the WAFL File System").
 //
-// The pool provides fire-and-forget submission plus blocking loops over
-// an index range: parallel_for (static chunks, for fine uniform loops)
-// and parallel_for_dynamic (a shared counter, for uneven or coarse work).
+// The pool provides fire-and-forget submission plus one blocking loop over
+// an index range, ThreadPool::parallel_for, which hands out runs of
+// `chunk` indices from a shared counter.  Call sites go through the free
+// parallel_for(pool, n, chunk, fn) below: with no pool, or when the whole
+// range is one chunk, it runs the loop inline on the caller, in index
+// order, without building a std::function.  That is also the serial,
+// replay-exact path every fan-out falls back to.
 //
-// One level of fan-out.  A parallel_for* caller runs one part itself and
+// One level of fan-out.  A parallel_for caller runs one part itself and
 // then waits for the others, which sit in the queue until a free worker
 // takes them.  Issued from inside a pool task, that wait holds a worker;
 // once every worker waits that way, no one is left to run the queued
@@ -27,6 +31,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace wafl {
 
@@ -48,7 +54,12 @@ class ThreadPool {
   void wait_idle();
 
   /// Runs fn(i) for every i in [begin, end) across the pool, blocking until
-  /// all iterations complete.  The calling thread participates.
+  /// all iterations complete.  Each grab of a shared counter claims the
+  /// next `chunk` indices, so uneven work does not serialize behind a
+  /// static split, and one atomic per chunk keeps fine loops cheap; tail
+  /// imbalance stays bounded by chunk-1 iterations.  Use chunk 1 for
+  /// coarse per-group or per-volume work.  The calling thread
+  /// participates.
   ///
   /// If fn throws, remaining iterations are abandoned (best effort — ones
   /// already running finish) and the first exception is rethrown on the
@@ -58,28 +69,8 @@ class ThreadPool {
   /// (the metafile flush, the TopAA commits) keep persisted state sound
   /// because every store block has exactly one writer and the crash
   /// harness invariants are interleaving-agnostic (DESIGN.md §9-§10).
-  void parallel_for(std::size_t begin, std::size_t end,
+  void parallel_for(std::size_t begin, std::size_t end, std::size_t chunk,
                     const std::function<void(std::size_t)>& fn);
-
-  /// Like parallel_for, but dynamically scheduled: workers pull one index
-  /// at a time from a shared counter, so a few expensive iterations do not
-  /// serialize behind a static chunk assignment.  Use for coarse, uneven
-  /// work (per-RAID-group CP-boundary work varies with each group's free
-  /// batch and AA churn); the per-index atomic costs more than static
-  /// chunking for fine uniform loops.  The calling thread participates.
-  /// Exceptions propagate as in parallel_for.
-  void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                            const std::function<void(std::size_t)>& fn);
-
-  /// Dynamically scheduled with run-of-`chunk` pulls: each grab of the
-  /// shared counter claims [i, i+chunk) indices.  The middle ground for
-  /// loops that are fine-grained but mildly uneven (per-metafile-block
-  /// flush and mount-walk work): one atomic per chunk instead of per
-  /// index, while tail imbalance stays bounded by chunk-1 iterations.
-  /// Exceptions propagate as in parallel_for.
-  void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                            std::size_t chunk,
-                            const std::function<void(std::size_t)>& fn);
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
@@ -94,5 +85,19 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(i) for every i in [0, n): on `pool` in runs of `chunk`
+/// indices, or inline on the caller, in index order, when `pool` is null
+/// or [0, n) is a single chunk.  Exceptions propagate either way.
+template <typename Fn>
+void parallel_for(ThreadPool* pool, std::size_t n, std::size_t chunk,
+                  Fn&& fn) {
+  WAFL_ASSERT(chunk > 0);
+  if (pool == nullptr || n <= chunk) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->parallel_for(0, n, chunk, fn);
+}
 
 }  // namespace wafl

@@ -42,7 +42,7 @@ Aggregate::Aggregate(const AggregateConfig& cfg, std::uint64_t rng_seed,
 
 RaidGroupId Aggregate::add_raid_group(const RaidGroupConfig& rgc) {
   // Quiescence: growth happens between CPs, like adding a shelf.
-  WAFL_ASSERT_MSG(activemap_.pending_frees() == 0,
+  WAFL_ASSERT_MSG(walloc_.pending_frees() == 0,
                   "add_raid_group during a CP");
   WAFL_ASSERT_MSG(walloc_.windows_idle(),
                   "add_raid_group with open tetris windows");

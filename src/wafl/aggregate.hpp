@@ -194,9 +194,14 @@ class Aggregate {
     return walloc_.allocate(n, out, stats);
   }
 
-  /// Defers the free of a physical VBN to the CP boundary.
+  /// Defers the free of a physical VBN to the CP boundary, on its RAID
+  /// group's free list.  The bit stays set until then, so the block
+  /// cannot be re-allocated within the same CP — WAFL's COW safety rule
+  /// (a freed block's old contents must survive until the CP that frees
+  /// it commits).
   void defer_free_pvbn(Vbn v) {
-    activemap_.defer_free(v);
+    WAFL_ASSERT_MSG(activemap_.is_allocated(v),
+                    "deferring free of a free block");
     walloc_.note_free(v);
   }
 
@@ -232,8 +237,8 @@ class Aggregate {
   /// its backing store without rebuilding any scoreboard or cache.  A
   /// reconstructed aggregate (fresh object over surviving store bytes —
   /// see recover_mount in wafl/mount.hpp) needs its bits loaded before
-  /// either mount path runs; volumes reload theirs via
-  /// FlexVol::rebuild_scoreboard().
+  /// the TopAA mount path runs (the scan path loads them itself); volumes
+  /// reload theirs via FlexVol::rebuild_scoreboard().
   void load_activemap() { activemap_.metafile().load_all(runtime_.pool()); }
 
  private:

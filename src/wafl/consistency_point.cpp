@@ -175,12 +175,8 @@ CpStats ConsistencyPoint::drain(Aggregate& agg, Frozen&& frozen) {
                       std::span(pvbns).subspan(begin, n),
                       std::span(vvbns).subspan(begin, n), {}, {}});
   }
-  if (pool != nullptr && slices.size() > 1) {
-    pool->parallel_for(0, slices.size(),
-                       [&](std::size_t k) { run_slice(agg, slices[k]); });
-  } else {
-    for (VolumeSlice& slice : slices) run_slice(agg, slice);
-  }
+  parallel_for(pool, slices.size(), 1,
+               [&](std::size_t k) { run_slice(agg, slices[k]); });
   for (VolumeSlice& slice : slices) {
     stats.merge(slice.stats);
     agg.release_pvbns(slice.freed_pvbns);

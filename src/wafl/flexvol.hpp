@@ -165,7 +165,8 @@ class FlexVol {
   /// Restores the scoreboard by reading the bitmap metafile back from the
   /// store.  After a TopAA mount this runs in the background while the
   /// seeded cache already serves the allocator (§3.4).  Always serial:
-  /// mount runs it inside its per-volume fan-out (see for_each_volume).
+  /// mount and recovery run it inside their per-volume fan-out
+  /// (mount.cpp).
   void rebuild_scoreboard();
 
   /// Full (slow) rebuild: rebuild_scoreboard() plus a from-scratch cache

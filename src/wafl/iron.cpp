@@ -178,11 +178,7 @@ IronReport iron_check_topaa(Aggregate& agg) {
     // never-written state, at any point of the fan-out.
     WAFL_CRASH_POINT_RT(rt, "iron.in_parallel_verify");
   };
-  if (pool != nullptr && pool->thread_count() > 0 && units.size() > 1) {
-    pool->parallel_for_dynamic(0, units.size(), verify_one);
-  } else {
-    for (std::size_t i = 0; i < units.size(); ++i) verify_one(i);
-  }
+  parallel_for(pool, units.size(), 1, verify_one);
   report.verify_ms = ms_since(t_verify);
 
   // --- Serial counter fold ----------------------------------------------

@@ -23,25 +23,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(dt).count();
 }
 
-// Volumes own disjoint state and stores, so per-volume mount work fans
-// out; the concurrent-safe BlockStore keeps each volume's store walk
-// sound next to the others.  This is the only fan-out over volumes: each
-// volume's own walk is serial, because a pool call from inside a pool
-// task can wait on parts no free worker is left to run (thread_pool.hpp).
-// Serial with no pool (or one volume), which is also the replay-exact
-// path for the named mount crash hooks.
-void for_each_volume(Aggregate& agg, ThreadPool* pool,
-                     const std::function<void(VolumeId)>& fn) {
-  const std::size_t n = agg.volume_count();
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for_dynamic(0, n, [&](std::size_t v) {
-      fn(static_cast<VolumeId>(v));
-    });
-  } else {
-    for (VolumeId v = 0; v < n; ++v) {
-      fn(v);
-    }
-  }
+// Scans every volume (bitmap walk, scoring, cache build).  Volumes own
+// disjoint state and stores, so the scans fan out across volumes; the
+// concurrent-safe BlockStore keeps each volume's store walk sound next to
+// the others.  This is the only fan-out over volumes: each volume's own
+// walk is serial, because a pool call from inside a pool task can wait
+// on parts no free worker is left to run (thread_pool.hpp).  One level of
+// fan-out in all: the aggregate scan that runs before it fans out on its
+// own (metafile blocks, then RAID groups).
+void scan_volumes(Aggregate& agg) {
+  parallel_for(agg.runtime().pool(), agg.volume_count(), 1,
+               [&](std::size_t v) {
+                 agg.volume(static_cast<VolumeId>(v)).scan_rebuild();
+               });
 }
 
 }  // namespace
@@ -55,7 +49,6 @@ MountReport mount_all(Aggregate& agg, bool use_topaa) {
   MountReport report;
   report.used_topaa = use_topaa;
   const Runtime& rt = agg.runtime();
-  ThreadPool* pool = rt.pool();
   obs::TraceSpan mount_span(obs::SpanKind::kMount, use_topaa ? 1 : 0);
 
   const std::uint64_t reads0 = total_reads(agg);
@@ -77,11 +70,7 @@ MountReport mount_all(Aggregate& agg, bool use_topaa) {
   } else {
     WAFL_CRASH_POINT_RT(rt, "mount.before_scan");
     agg.scan_rebuild();
-    // One level of fan-out: the aggregate scan above fans out on its own
-    // (metafile blocks, then RAID groups), then the volumes scan in
-    // parallel, each one serially.
-    for_each_volume(agg, pool,
-                    [&](VolumeId v) { agg.volume(v).scan_rebuild(); });
+    scan_volumes(agg);
   }
 
   report.gate_cpu_seconds = seconds_since(t0);
@@ -102,8 +91,7 @@ MountReport mount_all(Aggregate& agg, bool use_topaa) {
 std::uint64_t complete_background(Aggregate& agg) {
   const std::uint64_t reads0 = total_reads(agg);
   agg.scan_rebuild();
-  for_each_volume(agg, agg.runtime().pool(),
-                  [&](VolumeId v) { agg.volume(v).scan_rebuild(); });
+  scan_volumes(agg);
   return total_reads(agg) - reads0;
 }
 
@@ -112,11 +100,16 @@ MountReport recover_mount(Aggregate& agg, bool use_topaa) {
   // Ground truth first: a reconstructed aggregate's in-memory bitmaps are
   // all-free until loaded, and every recovery decision — TopAA fallback
   // scans, Iron recomputation, the next CP's allocations — reads them.
-  obs::TraceSpan load_span(obs::SpanKind::kRecoverLoad);
-  agg.load_activemap();
-  for_each_volume(agg, agg.runtime().pool(),
-                  [&](VolumeId v) { agg.volume(v).rebuild_scoreboard(); });
-  load_span.end();
+  // The scan path loads every bitmap itself, so only the TopAA path,
+  // which reads none, loads them here first.
+  if (use_topaa) {
+    obs::TraceSpan load_span(obs::SpanKind::kRecoverLoad);
+    agg.load_activemap();
+    parallel_for(agg.runtime().pool(), agg.volume_count(), 1,
+                 [&](std::size_t v) {
+                   agg.volume(static_cast<VolumeId>(v)).rebuild_scoreboard();
+                 });
+  }
   return mount_all(agg, use_topaa);
 }
 

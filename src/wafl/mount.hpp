@@ -82,11 +82,12 @@ std::uint64_t complete_background(Aggregate& agg);
 /// Crash-recovery mount: mount_all for an aggregate *reconstructed over
 /// surviving media* (fresh process, stores copied from the crashed
 /// instance) rather than a live failover within one process.  The bitmap
-/// metafiles — the ground truth everything else is recomputed from — are
-/// reloaded from the stores first, then the requested path brings up the
-/// AA caches.  On the TopAA path the boards seeded groups/volumes carry
-/// are the freshly-loaded-bitmap ones; the caches still come from the
-/// TopAA blocks, so the §3.4 gate cost is unchanged.
+/// metafiles are the ground truth everything else is recomputed from.
+/// The scan path reloads them from the stores as it walks them, so it
+/// reads each block once, exactly as mount_all does.  The TopAA path
+/// reloads them first, outside the gate: the boards seeded groups and
+/// volumes carry are the freshly-loaded-bitmap ones, while the caches
+/// still come from the TopAA blocks, so the §3.4 gate cost is unchanged.
 MountReport recover_mount(Aggregate& agg, bool use_topaa);
 
 }  // namespace wafl

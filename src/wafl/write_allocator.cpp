@@ -282,22 +282,21 @@ void RgAllocator::flush_window(CpStats& stats) {
   window_writes_.clear();
 }
 
-BitmapMetafile::FreeDelta RgAllocator::cp_boundary(
-    std::span<const Vbn> frees) {
-  obs::TraceSpan span(obs::SpanKind::kFcRgBoundary, raid_.id(), frees.size());
-  // Apply this group's share of the CP's deferred frees: clear the bits
-  // in one batch (this group's bitmap words are disjoint from every other
-  // group's; the shared free-count summary and dirty set are settled
-  // serially by the caller via apply_free_deltas) and tell
-  // translation-layer media (TRIM) in deferral order, as the per-bit
-  // path did.
+BitmapMetafile::FreeDelta RgAllocator::cp_boundary() {
+  obs::TraceSpan span(obs::SpanKind::kFcRgBoundary, raid_.id(), frees_.size());
+  // Apply this group's deferred frees: clear the bits in one batch (this
+  // group's bitmap words are disjoint from every other group's; the
+  // shared free-count summary and dirty set are settled serially by the
+  // caller via apply_free_deltas) and tell translation-layer media (TRIM)
+  // in deferral order, as the per-bit path did.
   BitmapMetafile& map = activemap_.metafile();
   const RaidGeometry& geom = raid_.geometry();
-  BitmapMetafile::FreeDelta delta = map.clear_frees_batched(frees);
-  for (const Vbn v : frees) {
+  BitmapMetafile::FreeDelta delta = map.clear_frees_batched(frees_);
+  for (const Vbn v : frees_) {
     const BlockLocation loc = geom.to_location(v - base_);
     data_devices_[loc.device]->invalidate(loc.dbn);
   }
+  frees_.clear();
   // Crash here = power loss after the in-memory frees of one group were
   // applied but before anything of this CP persisted.  May fire on a pool
   // thread; ThreadPool rethrows on the caller.
@@ -428,6 +427,14 @@ RaidGroupId WriteAllocator::group_of_pvbn(Vbn v) const {
   return 0;
 }
 
+std::uint64_t WriteAllocator::pending_frees() const {
+  std::uint64_t n = 0;
+  for (const auto& rg : groups_) {
+    n += rg->pending_frees();
+  }
+  return n;
+}
+
 bool WriteAllocator::windows_idle() const {
   for (const auto& rg : groups_) {
     if (!rg->window_idle()) return false;
@@ -546,10 +553,6 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
   std::vector<std::vector<Vbn>> got(ngroups);
   std::vector<CpStats> gstats(ngroups);
   std::vector<BitmapMetafile::AllocDelta> deltas(ngroups);
-  std::size_t active_groups = 0;
-  for (const GroupPlan& gp : plan) {
-    if (gp.planned > 0) ++active_groups;
-  }
   auto execute_one = [&](std::size_t g) {
     if (plan[g].planned == 0) return;
     obs::TraceSpan rg_span(obs::SpanKind::kWaRgExecute, g, plan[g].planned);
@@ -568,13 +571,7 @@ bool WriteAllocator::allocate(std::uint64_t n, std::vector<Vbn>& out,
     }
     deltas[g] = rg.end_staged_alloc();
   };
-  if (pool != nullptr && active_groups > 1) {
-    pool->parallel_for_dynamic(0, ngroups, execute_one);
-  } else {
-    for (std::size_t g = 0; g < ngroups; ++g) {
-      execute_one(g);
-    }
-  }
+  parallel_for(pool, ngroups, 1, execute_one);
   execute_span.end();
   lap(prof.execute_ms);
   obs::TraceSpan merge_span(obs::SpanKind::kWaMerge, 0, planned_total);
@@ -610,7 +607,6 @@ void WriteAllocator::finish_cp(CpStats& stats) {
     bucket += std::chrono::duration<double, std::milli>(now - mark).count();
     mark = now;
   };
-  const bool fan_out = pool != nullptr && groups_.size() > 1;
 
   // Fires once on every CP's boundary drain; under the overlapped driver
   // this is the window where intake is concurrently filling the active
@@ -619,90 +615,29 @@ void WriteAllocator::finish_cp(CpStats& stats) {
 
   // Serial: flush any windows the CP left open (the next CP reopens them
   // and pays the partial-stripe cost of the blocks written now), then
-  // collect the deferred frees.  Each fc.* span opens right after the
-  // previous lap() mark and ends right before its own, so trace times
-  // reconcile with the CpPhaseProfile buckets.
+  // count the deferred frees waiting on the groups' lists.  Each fc.*
+  // span opens right after the previous lap() mark and ends right before
+  // its own, so trace times reconcile with the CpPhaseProfile buckets.
   obs::TraceSpan windows_span(obs::SpanKind::kFcWindows);
   for (const auto& rg : groups_) {
     rg->flush_window(stats);
   }
-  const std::span<const Vbn> frees = activemap_.take_deferred_frees();
-  stats.blocks_freed += frees.size();
-  windows_span.set_b(frees.size());
+  const std::uint64_t freed = pending_frees();
+  stats.blocks_freed += freed;
+  windows_span.set_b(freed);
   windows_span.end();
   lap(prof.windows_ms);
-  obs::TraceSpan owner_span(obs::SpanKind::kFcOwner, 0, frees.size());
-
-  // Owner lookup (parallel): owner[k] is a pure function of frees[k]
-  // alone, so the pass fans out over the free list without affecting the
-  // partition it feeds.  The linear scan over group ends is fine — group
-  // counts are small; the per-free cost is the cache misses, not the scan.
-  std::vector<std::uint32_t> owner(frees.size());
-  std::vector<Vbn> ends(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    ends[g] = groups_[g]->end();
-  }
-  auto owner_of = [&](std::size_t k) {
-    const Vbn v = frees[k];
-    for (std::size_t g = 0; g < ends.size(); ++g) {
-      if (v < ends[g]) {
-        owner[k] = static_cast<std::uint32_t>(g);
-        return;
-      }
-    }
-    WAFL_ASSERT_MSG(false, "freed pvbn beyond all RAID groups");
-  };
-  constexpr std::size_t kOwnerChunk = 8192;
-  if (fan_out && frees.size() >= 2 * kOwnerChunk) {
-    pool->parallel_for_dynamic(0, frees.size(), kOwnerChunk, owner_of);
-  } else {
-    for (std::size_t k = 0; k < frees.size(); ++k) {
-      owner_of(k);
-    }
-  }
-  owner_span.end();
-  lap(prof.owner_ms);
-  obs::TraceSpan partition_span(obs::SpanKind::kFcPartition, 0, frees.size());
-
-  // Partition (serial): counting scatter into one flat buffer.  Each
-  // group's run preserves deferral order, so cp_boundary sees exactly the
-  // batch the serial path would hand it whatever the worker count.
-  std::vector<std::size_t> count(groups_.size(), 0);
-  for (const std::uint32_t g : owner) {
-    ++count[g];
-  }
-  std::vector<std::size_t> offset(groups_.size(), 0);
-  std::size_t acc = 0;
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    offset[g] = acc;
-    acc += count[g];
-  }
-  std::vector<Vbn> parted(frees.size());
-  std::vector<std::size_t> cursor = offset;
-  for (std::size_t k = 0; k < frees.size(); ++k) {
-    parted[cursor[owner[k]]++] = frees[k];
-  }
-  partition_span.end();
-  lap(prof.partition_ms);
-  obs::TraceSpan boundary_span(obs::SpanKind::kFcBoundary, 0, frees.size());
+  obs::TraceSpan boundary_span(obs::SpanKind::kFcBoundary, 0, freed);
   WAFL_CRASH_POINT_RT(*rt_, "wa.before_boundary");
 
-  // Phase A (parallel): each group's boundary work touches only that
-  // group's state plus its own disjoint bitmap words (see the file
-  // comment's disjointness argument).  Dynamic scheduling: per-group cost
-  // tracks its free batch and AA churn, which can be very uneven.
+  // Phase A (parallel): each group drains its own free list, in deferral
+  // order, and its boundary work touches only that group's state plus its
+  // own disjoint bitmap words (see the file comment's disjointness
+  // argument).  Per-group cost tracks its free batch and AA churn, which
+  // can be very uneven, so groups are handed out one at a time.
   std::vector<BitmapMetafile::FreeDelta> deltas(groups_.size());
-  auto boundary_one = [&](std::size_t i) {
-    deltas[i] = groups_[i]->cp_boundary(
-        std::span<const Vbn>(parted.data() + offset[i], count[i]));
-  };
-  if (fan_out) {
-    pool->parallel_for_dynamic(0, groups_.size(), boundary_one);
-  } else {
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      boundary_one(i);
-    }
-  }
+  parallel_for(pool, groups_.size(), 1,
+               [&](std::size_t i) { deltas[i] = groups_[i]->cp_boundary(); });
   boundary_span.end();
   lap(prof.boundary_ms);
   WAFL_CRASH_POINT_RT(*rt_, "wa.after_boundary");
@@ -724,24 +659,18 @@ void WriteAllocator::finish_cp(CpStats& stats) {
   WAFL_CRASH_POINT_RT(*rt_, "wa.before_bitmap_flush");
 
   // Phase B1 (parallel): flush the dirty metafile blocks.  The dirty list
-  // is partitioned, so each store block has exactly one writer; chunked
-  // dynamic scheduling amortizes the shared counter over the fine,
-  // near-uniform per-block work.  On an exception (a crash point or an
-  // injected crash mid-flush) begin_cp() is skipped, leaving the dirty
-  // set intact — same as a serial crash partway down the list.
+  // is partitioned, so each store block has exactly one writer; chunks of
+  // 8 amortize the shared counter over the fine, near-uniform per-block
+  // work.  On an exception (a crash point or an injected crash mid-flush)
+  // begin_cp() is skipped, leaving the dirty set intact — same as a
+  // serial crash partway down the list.
   const std::span<const std::uint64_t> dirty = map.dirty_list();
   auto flush_one = [&](std::size_t k) {
     obs::TraceSpan block_span(obs::SpanKind::kFcFlushBlock, dirty[k]);
     WAFL_CRASH_POINT_RT(*rt_, "wa.in_bitmap_flush");
     map.flush_block(dirty[k]);
   };
-  if (fan_out && dirty.size() > 1) {
-    pool->parallel_for_dynamic(0, dirty.size(), /*chunk=*/8, flush_one);
-  } else {
-    for (std::size_t k = 0; k < dirty.size(); ++k) {
-      flush_one(k);
-    }
-  }
+  parallel_for(pool, dirty.size(), 8, flush_one);
   stats.meta_flush_blocks += dirty.size();
   map.begin_cp();
   flush_span.set_b(dirty.size());
@@ -757,13 +686,7 @@ void WriteAllocator::finish_cp(CpStats& stats) {
     WAFL_CRASH_POINT_RT(*rt_, "wa.before_topaa_commit");
     topaa_blocks[i] = groups_[i]->commit_topaa();
   };
-  if (fan_out) {
-    pool->parallel_for_dynamic(0, groups_.size(), commit_one);
-  } else {
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      commit_one(i);
-    }
-  }
+  parallel_for(pool, groups_.size(), 1, commit_one);
   for (const std::uint64_t n : topaa_blocks) {
     stats.meta_flush_blocks += n;
   }
@@ -807,12 +730,8 @@ void WriteAllocator::scan_rebuild() {
   // no pool call is issued from inside a pool task.
   ScanProfile::timed(scan_profile().read_ns,
                      [&] { activemap_.metafile().load_all(pool); });
-  auto rescan_one = [&](std::size_t i) { groups_[i]->rescan(); };
-  if (pool != nullptr && groups_.size() > 1) {
-    pool->parallel_for_dynamic(0, groups_.size(), rescan_one);
-  } else {
-    for (std::size_t i = 0; i < groups_.size(); ++i) rescan_one(i);
-  }
+  parallel_for(pool, groups_.size(), 1,
+               [&](std::size_t i) { groups_[i]->rescan(); });
 }
 
 void WriteAllocator::seed_occupancy(RaidGroupId rg_id, double fraction,

@@ -43,10 +43,9 @@
 //
 //  1. demand is partitioned before any fan-out.  On the allocation side
 //     the serial plan fixes every group's quota and output positions
-//     before a single block is taken; on the free side the deferred frees
-//     are split by owning group in deferral order (the owner-lookup pass
-//     itself fans out, but each owner[i] is a pure function of frees[i],
-//     so the partition is identical whatever the worker count);
+//     before a single block is taken; on the free side each freed pvbn
+//     joins its owning group's free list when it is deferred (note_free),
+//     so every list is in deferral order before the boundary starts;
 //  2. each parallel phase touches only disjoint state.  Execute and
 //     cp_boundary are group-disjoint; bitmap bit sets and clears are
 //     group-disjoint at word granularity too, because device_blocks is a
@@ -152,19 +151,28 @@ class RgAllocator {
   /// the window's blocks allocated.
   void flush_window(CpStats& stats);
 
-  /// Records a deferred free against the group's scoreboard.
-  void note_free(Vbn v) { board_.note_free(v); }
+  /// Defers the free of `v`, one of this group's pvbns, to the CP
+  /// boundary: queues it on the group's free list, in deferral order, and
+  /// records it against the scoreboard.  The bit stays set until then, so
+  /// the block cannot be re-allocated within the same CP.
+  void note_free(Vbn v) {
+    board_.note_free(v);
+    frees_.push_back(v);
+  }
+  /// Frees deferred since the last cp_boundary().
+  std::size_t pending_frees() const noexcept { return frees_.size(); }
 
   /// The group-disjoint half of the CP boundary; safe to run concurrently
-  /// with other groups' cp_boundary calls.  Clears this group's deferred
-  /// frees in one batch (this group's bitmap words are disjoint from
-  /// every other group's), invalidates translated media in deferral
-  /// order, folds score deltas into the cache, re-admits retired AAs, and
-  /// stages — but does not write — the group's TopAA block image.
-  /// Returns the per-metafile-block freed counts; the caller folds them
-  /// into the shared free-count summary serially, in group order
-  /// (apply_free_deltas — metafile blocks can straddle group boundaries).
-  BitmapMetafile::FreeDelta cp_boundary(std::span<const Vbn> frees);
+  /// with other groups' cp_boundary calls.  Drains the group's free list:
+  /// clears its bits in one batch (this group's bitmap words are disjoint
+  /// from every other group's) and invalidates translated media in
+  /// deferral order.  Then folds score deltas into the cache, re-admits
+  /// retired AAs, and stages — but does not write — the group's TopAA
+  /// block image.  Returns the per-metafile-block freed counts; the
+  /// caller folds them into the shared free-count summary serially, in
+  /// group order (apply_free_deltas — metafile blocks can straddle group
+  /// boundaries).
+  BitmapMetafile::FreeDelta cp_boundary();
 
   /// Companion to cp_boundary(): writes the staged TopAA image to the
   /// group's slot and returns the number of blocks written (0 unless the
@@ -246,6 +254,9 @@ class RgAllocator {
   std::uint64_t topaa_base_;
 
   std::vector<Vbn> window_writes_;
+  /// This CP's deferred frees, in deferral order (note_free), drained by
+  /// cp_boundary().
+  std::vector<Vbn> frees_;
   std::vector<SimTime> device_busy_;  // data then parity, this CP
   /// SSD FTL totals (summed over the group's devices) already folded
   /// into the wafl.ssd.* counters.
@@ -291,8 +302,11 @@ struct CpPhaseProfile {
   double alloc_merge_ms = 0.0;  // serial: AllocDelta + stats folds
   // finish_cp().
   double windows_ms = 0.0;    // serial: flush open tetris windows
-  double owner_ms = 0.0;      // parallel: per-free owner lookup
-  double partition_ms = 0.0;  // serial: scatter frees into group runs
+  // Never written, always 0: no finish_cp phase feeds them.  They stay
+  // only while perfbench/common.cpp still reports them (fc.owner_ms,
+  // fc.partition_ms).
+  double owner_ms = 0.0;
+  double partition_ms = 0.0;
   double boundary_ms = 0.0;   // parallel: per-group cp_boundary
   double merge_ms = 0.0;      // serial: FreeDelta summary folds
   double flush_ms = 0.0;      // parallel: metafile dirty-block flush
@@ -300,11 +314,10 @@ struct CpPhaseProfile {
   double fold_ms = 0.0;       // serial: stats and metric folds
 
   double serial_ms() const noexcept {
-    return plan_ms + alloc_merge_ms + windows_ms + partition_ms + merge_ms +
-           fold_ms;
+    return plan_ms + alloc_merge_ms + windows_ms + merge_ms + fold_ms;
   }
   double parallel_ms() const noexcept {
-    return execute_ms + owner_ms + boundary_ms + flush_ms + topaa_ms;
+    return execute_ms + boundary_ms + flush_ms + topaa_ms;
   }
   double total_ms() const noexcept { return serial_ms() + parallel_ms(); }
   void reset() noexcept { *this = CpPhaseProfile{}; }
@@ -386,18 +399,20 @@ class WriteAllocator {
   /// when out of space; `out` then carries the planned prefix.
   bool allocate(std::uint64_t n, std::vector<Vbn>& out, CpStats& stats);
 
-  /// Records a deferred free against the owning group's scoreboard (the
-  /// activemap deferral itself stays with the Aggregate).
+  /// Defers the free of `v` to the CP boundary, on the free list of the
+  /// group that owns it.
   void note_free(Vbn v) { groups_[group_of_pvbn(v)]->note_free(v); }
+  /// Frees deferred since the last finish_cp(), over all groups.
+  std::uint64_t pending_frees() const;
 
-  /// The CP boundary.  Serial prologue (flush open windows, partition the
-  /// deferred frees by group); parallel phase A (per-group cp_boundary);
-  /// serial merge (fold each group's FreeDelta into the shared summary,
-  /// in group order); parallel phase B1 (metafile flush, partitioned by
-  /// dirty block) and B2 (per-group TopAA commits); serial stats and
-  /// metric folds.  With no pool in the runtime every phase runs strictly
-  /// serially in the same order.  Results are bit-identical for any
-  /// worker count.
+  /// The CP boundary.  Serial prologue (flush open windows, count the
+  /// deferred frees); parallel phase A (per-group cp_boundary, each
+  /// draining its own free list); serial merge (fold each group's
+  /// FreeDelta into the shared summary, in group order); parallel phase
+  /// B1 (metafile flush, partitioned by dirty block) and B2 (per-group
+  /// TopAA commits); serial stats and metric folds.  With no pool in the
+  /// runtime every phase runs strictly serially in the same order.
+  /// Results are bit-identical for any worker count.
   void finish_cp(CpStats& stats);
 
   // --- Mount (§3.4) ----------------------------------------------------------

@@ -96,7 +96,7 @@ TEST(SpanTrace, ParentageAcrossThreadPool) {
     // Chunked static fan-out: worker tasks inherit the submitter's
     // context, so spans opened inside become children of `root` even
     // though they open on other threads.
-    pool.parallel_for(0, 64, [](std::size_t i) {
+    pool.parallel_for(0, 64, 1, [](std::size_t i) {
       TraceSpan child(SpanKind::kRgFill, i);
       (void)child;
     });
@@ -210,7 +210,7 @@ TEST(SpanTrace, ConcurrentEmissionWhileSnapshotting) {
   });
   // Enough spans per task to wrap the 8192-slot rings while the reader
   // races the overwrites.
-  pool.parallel_for_dynamic(0, 32, [](std::size_t i) {
+  pool.parallel_for(0, 32, 1, [](std::size_t i) {
     TraceSpan task_span(SpanKind::kCpVolSlice, i);
     for (int j = 0; j < 2'000; ++j) {
       TraceSpan s(SpanKind::kRgFill, i, static_cast<std::uint64_t>(j));

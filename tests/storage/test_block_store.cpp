@@ -192,7 +192,7 @@ TEST(BlockStoreConcurrent, DisjointSlotWritersLandIntact) {
   // access pattern of the parallel metafile flush and TopAA commits.
   BlockStore store(4096);
   ThreadPool pool(4);
-  pool.parallel_for_dynamic(0, 4096, /*chunk=*/64, [&](std::size_t b) {
+  pool.parallel_for(0, 4096, /*chunk=*/64, [&](std::size_t b) {
     store.write(b, make_block(static_cast<std::uint8_t>(b & 0xFF)));
   });
   for (std::uint64_t b = 0; b < 4096; ++b) {
@@ -208,10 +208,10 @@ TEST(BlockStoreConcurrent, CountersExactUnderConcurrency) {
   // the CP accounting the benches and acceptance gates read.
   BlockStore store(8192);
   ThreadPool pool(4);
-  pool.parallel_for_dynamic(0, 8192, /*chunk=*/32, [&](std::size_t b) {
+  pool.parallel_for(0, 8192, /*chunk=*/32, [&](std::size_t b) {
     store.write(b, make_block(1));
   });
-  pool.parallel_for_dynamic(0, 8192, /*chunk=*/32, [&](std::size_t b) {
+  pool.parallel_for(0, 8192, /*chunk=*/32, [&](std::size_t b) {
     Block out{};
     store.read(b, out);
     store.read(b, out);
@@ -252,7 +252,7 @@ TEST(BlockStoreConcurrent, ParallelLoadStyleMixedTraffic) {
   store.reset_stats();
   ThreadPool pool(4);
   std::atomic<std::uint64_t> mismatches{0};
-  pool.parallel_for_dynamic(0, 2048, /*chunk=*/16, [&](std::size_t b) {
+  pool.parallel_for(0, 2048, /*chunk=*/16, [&](std::size_t b) {
     if (b < 1024) {
       Block out{};
       store.read(b, out);

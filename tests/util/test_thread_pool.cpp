@@ -33,26 +33,25 @@ TEST(ThreadPool, WaitIdleOnFreshPool) {
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
+  std::vector<std::atomic<int>> hits(5000);
+  pool.parallel_for(0, hits.size(), 1,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
-  pool.parallel_for(5, 5, [](std::size_t) { FAIL(); });
-  pool.parallel_for(7, 3, [](std::size_t) { FAIL(); });
+  pool.parallel_for(5, 5, 1, [](std::size_t) { FAIL(); });
+  pool.parallel_for(7, 3, 1, [](std::size_t) { FAIL(); });
   SUCCEED();
 }
 
 TEST(ThreadPool, ParallelForSingleElement) {
   ThreadPool pool(3);
   std::atomic<int> hits{0};
-  pool.parallel_for(41, 42, [&](std::size_t i) {
+  pool.parallel_for(41, 42, 1, [&](std::size_t i) {
     EXPECT_EQ(i, 41u);
     hits.fetch_add(1);
   });
@@ -60,20 +59,19 @@ TEST(ThreadPool, ParallelForSingleElement) {
 }
 
 TEST(ThreadPool, ParallelForWithSingleThreadPool) {
+  // The caller participates, so one worker plus the caller run the loop.
   ThreadPool pool(1);
-  std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for(0, 100, [&](std::size_t i) {
-    sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 4950u);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+    std::atomic<std::uint64_t> sum{0};
+    pool.parallel_for(0, 100, chunk, [&](std::size_t i) { sum.fetch_add(i); });
+    EXPECT_EQ(sum.load(), 4950u);
+  }
 }
 
 TEST(ThreadPool, ParallelForMoreItemsThanThreads) {
   ThreadPool pool(2);
   std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for(0, 10000, [&](std::size_t i) {
-    sum.fetch_add(i);
-  });
+  pool.parallel_for(0, 10000, 1, [&](std::size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 10000ull * 9999 / 2);
 }
 
@@ -81,31 +79,39 @@ TEST(ThreadPool, SequentialParallelForCalls) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
   for (int round = 0; round < 10; ++round) {
-    pool.parallel_for(0, 100, [&](std::size_t) { total.fetch_add(1); });
+    pool.parallel_for(0, 100, 1, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 1000);
 }
 
-TEST(ThreadPool, ParallelForDynamicCoversEveryIndexOnce) {
+TEST(ThreadPool, NullPoolRunsInlineInOrder) {
+  // The free parallel_for runs the loop on the caller, in index order,
+  // when there is no pool or the range is one chunk, and an exception
+  // reaches the caller unchanged.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(5000);
-  pool.parallel_for_dynamic(0, hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
+  const auto caller = std::this_thread::get_id();
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "null pool" : "single chunk");
+    const std::size_t chunk = p == nullptr ? 1 : 64;
+    std::vector<std::size_t> order;
+    parallel_for(p, 64, chunk, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<std::size_t> want(64);
+    std::iota(want.begin(), want.end(), std::size_t{0});
+    EXPECT_EQ(order, want);
 
-TEST(ThreadPool, ParallelForDynamicEmptyAndSingle) {
-  ThreadPool pool(2);
-  pool.parallel_for_dynamic(7, 3, [](std::size_t) { FAIL(); });
-  std::atomic<int> hits{0};
-  pool.parallel_for_dynamic(41, 42, [&](std::size_t i) {
-    EXPECT_EQ(i, 41u);
-    hits.fetch_add(1);
-  });
-  EXPECT_EQ(hits.load(), 1);
+    order.clear();
+    EXPECT_THROW(parallel_for(p, 64, chunk,
+                              [&](std::size_t i) {
+                                if (i == 9) throw std::runtime_error("nine");
+                                order.push_back(i);
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(order.size(), 9u);  // stopped at the throwing index
+  }
+  parallel_for(nullptr, 0, 1, [](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, ParallelForDynamicUnevenWork) {
@@ -113,7 +119,7 @@ TEST(ThreadPool, ParallelForDynamicUnevenWork) {
   // must not serialize the rest behind a static chunk boundary.
   ThreadPool pool(3);
   std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for_dynamic(0, 200, [&](std::size_t i) {
+  pool.parallel_for(0, 200, 1, [&](std::size_t i) {
     std::uint64_t acc = 0;
     const std::uint64_t spins = (i == 0) ? 200'000 : 10;
     for (std::uint64_t k = 0; k < spins; ++k) acc += k % 7;
@@ -123,14 +129,13 @@ TEST(ThreadPool, ParallelForDynamicUnevenWork) {
 }
 
 TEST(ThreadPool, ParallelForDynamicChunkedCoversEveryIndexOnce) {
-  // The chunked variant amortizes the shared counter over `chunk` items;
-  // coverage must stay exactly-once for ranges that are not a multiple of
-  // the chunk size (the last chunk is partial).
+  // Chunks amortize the shared counter over `chunk` items; coverage must
+  // stay exactly-once for ranges that are not a multiple of the chunk
+  // size (the last chunk is partial).
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10'037);  // prime, not a chunk multiple
-  pool.parallel_for_dynamic(0, hits.size(), /*chunk=*/64, [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  });
+  pool.parallel_for(0, hits.size(), /*chunk=*/64,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -139,38 +144,31 @@ TEST(ThreadPool, ParallelForDynamicChunkedCoversEveryIndexOnce) {
 TEST(ThreadPool, ParallelForDynamicChunkedEdgeShapes) {
   ThreadPool pool(2);
   // Empty, chunk larger than the range, and chunk == range.
-  pool.parallel_for_dynamic(9, 2, /*chunk=*/16, [](std::size_t) { FAIL(); });
+  pool.parallel_for(9, 2, /*chunk=*/16, [](std::size_t) { FAIL(); });
   std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for_dynamic(0, 5, /*chunk=*/100,
-                            [&](std::size_t i) { sum.fetch_add(i); });
+  pool.parallel_for(0, 5, /*chunk=*/100,
+                    [&](std::size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 10u);
   sum.store(0);
-  pool.parallel_for_dynamic(0, 8, /*chunk=*/8,
-                            [&](std::size_t i) { sum.fetch_add(i); });
+  pool.parallel_for(0, 8, /*chunk=*/8,
+                    [&](std::size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 28u);
 }
 
 TEST(ThreadPool, ParallelForDynamicChunkedRethrows) {
   // An exception thrown mid-chunk abandons the remaining chunks.
   ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for_dynamic(0, 1000, /*chunk=*/32,
-                                         [](std::size_t i) {
-                                           if (i == 321) {
-                                             throw std::runtime_error("c");
-                                           }
-                                         }),
+  EXPECT_THROW(pool.parallel_for(0, 1000, /*chunk=*/32,
+                                 [](std::size_t i) {
+                                   if (i == 321) {
+                                     throw std::runtime_error("c");
+                                   }
+                                 }),
                std::runtime_error);
   std::atomic<int> after{0};
-  pool.parallel_for_dynamic(0, 64, /*chunk=*/7,
-                            [&](std::size_t) { after.fetch_add(1); });
+  pool.parallel_for(0, 64, /*chunk=*/7,
+                    [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 64);
-}
-
-TEST(ThreadPool, ParallelForDynamicWithSingleThreadPool) {
-  ThreadPool pool(1);
-  std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for_dynamic(0, 100, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 4950u);
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstException) {
@@ -179,7 +177,7 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   try {
-    pool.parallel_for(0, 1000, [&](std::size_t i) {
+    pool.parallel_for(0, 1000, 1, [&](std::size_t i) {
       ran.fetch_add(1);
       if (i == 17) throw std::runtime_error("boom at 17");
     });
@@ -189,28 +187,21 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
   }
   // Remaining iterations were abandoned best-effort, never re-run.
   EXPECT_LE(ran.load(), 1000);
+  // Several parts may throw; exactly one exception reaches the caller and
+  // the rest are swallowed after the loop stops.
+  std::atomic<int> throws{0};
+  EXPECT_THROW(pool.parallel_for(0, 500, 1,
+                                 [&](std::size_t i) {
+                                   if (i % 100 == 3) {
+                                     throws.fetch_add(1);
+                                     throw std::runtime_error("x");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_GE(throws.load(), 1);
   // The pool survives and is reusable afterwards.
   std::atomic<int> after{0};
-  pool.parallel_for(0, 100, [&](std::size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForDynamicRethrowsFirstException) {
-  ThreadPool pool(3);
-  std::atomic<int> throws{0};
-  EXPECT_THROW(pool.parallel_for_dynamic(0, 500,
-                                         [&](std::size_t i) {
-                                           if (i % 100 == 3) {
-                                             throws.fetch_add(1);
-                                             throw std::runtime_error("x");
-                                           }
-                                         }),
-               std::runtime_error);
-  // Several workers may throw; exactly one exception reaches the caller
-  // and the rest are swallowed after the loop stops.
-  EXPECT_GE(throws.load(), 1);
-  std::atomic<int> after{0};
-  pool.parallel_for_dynamic(0, 100, [&](std::size_t) { after.fetch_add(1); });
+  pool.parallel_for(0, 100, 1, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 100);
 }
 
@@ -218,7 +209,7 @@ TEST(ThreadPool, ExceptionWithSingleThreadPool) {
   // With one worker the calling thread still participates; the rethrow
   // path must work when the throwing iteration runs on the caller.
   ThreadPool pool(1);
-  EXPECT_THROW(pool.parallel_for(0, 10,
+  EXPECT_THROW(pool.parallel_for(0, 10, 1,
                                  [](std::size_t i) {
                                    if (i >= 5) throw std::runtime_error("c");
                                  }),
@@ -250,20 +241,20 @@ TEST(ThreadPool, TaskContextPropagatesToSubmittedTasks) {
 }
 
 TEST(ThreadPool, TaskContextNestingSurvivesChunkedOverload) {
-  // The chunked dynamic variant runs many items per pool task; every item
-  // of every chunk must see the submitter's context, and a nested
-  // parallel_for inside an item must propagate the *item's* context, not
-  // the worker thread's previous one.
+  // A chunked loop runs many items per pool task; every item of every
+  // chunk must see the submitter's context, and a nested parallel_for
+  // inside an item must propagate the *item's* context, not the worker
+  // thread's previous one.
   ThreadPool pool(4);
   std::atomic<int> wrong_outer{0};
   std::atomic<int> wrong_inner{0};
   TaskContextScope scope(7001);
-  pool.parallel_for_dynamic(0, 1000, /*chunk=*/64, [&](std::size_t i) {
+  pool.parallel_for(0, 1000, /*chunk=*/64, [&](std::size_t i) {
     if (current_task_context() != 7001) wrong_outer.fetch_add(1);
     if (i == 500) {
       // Nest: re-label the context for an inner fan-out from a worker.
       TaskContextScope inner_scope(8002);
-      pool.parallel_for(0, 64, [&](std::size_t) {
+      pool.parallel_for(0, 64, 1, [&](std::size_t) {
         if (current_task_context() != 8002) wrong_inner.fetch_add(1);
       });
       // The inner scope's end restores the outer context on this thread.
@@ -280,7 +271,7 @@ TEST(ThreadPool, TaskContextRestoredAcrossExceptionRethrow) {
   // caller's own context survives the rethrow.
   ThreadPool pool(3);
   TaskContextScope scope(4242);
-  EXPECT_THROW(pool.parallel_for(0, 300,
+  EXPECT_THROW(pool.parallel_for(0, 300, 1,
                                  [](std::size_t i) {
                                    if (i == 50) {
                                      throw std::runtime_error("boom");
@@ -294,7 +285,7 @@ TEST(ThreadPool, TaskContextRestoredAcrossExceptionRethrow) {
   std::atomic<int> wrong{0};
   {
     TaskContextScope next(5151);
-    pool.parallel_for_dynamic(0, 200, [&](std::size_t) {
+    pool.parallel_for(0, 200, 1, [&](std::size_t) {
       if (current_task_context() != 5151) wrong.fetch_add(1);
     });
   }
@@ -325,11 +316,7 @@ TEST(ThreadPool, ConcurrentCallersStress) {
         }
         hits.fetch_add(1);
       };
-      if ((c + parity) % 2 == 0) {
-        pool.parallel_for(0, kItems, fn);
-      } else {
-        pool.parallel_for_dynamic(0, kItems, fn);
-      }
+      pool.parallel_for(0, kItems, (c + parity) % 2 == 0 ? 1 : 8, fn);
       total.fetch_add(hits.load());
     }
   };

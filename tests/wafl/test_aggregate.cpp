@@ -129,6 +129,28 @@ TEST(Aggregate, DeferredFreesApplyAtFinish) {
   EXPECT_EQ(finish2.blocks_freed, 50u);
 }
 
+TEST(Aggregate, AddRaidGroupWithPendingFreesAborts) {
+  // Growth happens between CPs: a free still waiting on its group's list
+  // for the CP boundary makes add_raid_group fail fast.
+  Aggregate agg(two_rg_hdd(), 1);
+  agg.begin_cp();
+  CpStats stats;
+  std::vector<Vbn> out;
+  ASSERT_TRUE(agg.allocate_pvbns(10, out, stats));
+  agg.finish_cp(stats);
+  agg.defer_free_pvbn(out.back());
+  const RaidGroupConfig rg = two_rg_hdd().raid_groups[0];
+  EXPECT_DEATH(agg.add_raid_group(rg), "add_raid_group during a CP");
+  // Once the boundary has applied the free, the group can be added.
+  agg.finish_cp(stats);
+  EXPECT_EQ(agg.add_raid_group(rg), 2u);
+}
+
+TEST(Aggregate, DeferFreeOfFreeBlockAborts) {
+  Aggregate agg(two_rg_hdd(), 1);
+  EXPECT_DEATH(agg.defer_free_pvbn(5), "deferring free of a free block");
+}
+
 TEST(Aggregate, ScoreboardsAndHeapsStayConsistent) {
   Aggregate agg(two_rg_hdd(), 1);
   for (int cp = 0; cp < 5; ++cp) {

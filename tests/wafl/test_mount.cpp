@@ -352,6 +352,31 @@ std::uint64_t total_block_writes(Aggregate& agg) {
   return n;
 }
 
+std::uint64_t total_block_reads(Aggregate& agg) {
+  std::uint64_t n = agg.meta_store().stats().block_reads +
+                    agg.topaa_store().stats().block_reads;
+  for (VolumeId v = 0; v < agg.volume_count(); ++v) {
+    n += agg.volume(v).store().stats().block_reads;
+  }
+  return n;
+}
+
+TEST(Mount, RecoverScanReadsEachBitmapBlockOnce) {
+  // The scan path loads every bitmap itself, so recover_mount(false) must
+  // not load them beforehand too: all it reads is its gate, the same
+  // blocks mount_all(false) reads.
+  auto recovered = make_big(false);
+  auto mounted = make_big(false);
+  const std::uint64_t r0 = total_block_reads(*recovered);
+  const MountReport r = recover_mount(*recovered, /*use_topaa=*/false);
+  const std::uint64_t recover_reads = total_block_reads(*recovered) - r0;
+  const std::uint64_t m0 = total_block_reads(*mounted);
+  mount_all(*mounted, /*use_topaa=*/false);
+  const std::uint64_t mount_reads = total_block_reads(*mounted) - m0;
+  EXPECT_EQ(recover_reads, r.gate_block_reads);
+  EXPECT_EQ(recover_reads, mount_reads);
+}
+
 /// The mount paths that reach the scan.
 enum class ScanPath {
   kScanMount,      // mount_all(use_topaa=false)

@@ -101,8 +101,8 @@ TEST(WriteAllocatorEngine, RoundRobinStaysFairAfterGrowth) {
   }
 }
 
-// Growth immediately followed by a parallel CP: the new group slots into
-// the partitioned boundary path like any other.
+// Growth immediately followed by a parallel CP: the new group gets its own
+// free list and joins the per-group boundary like any other.
 TEST(WriteAllocatorEngine, GrowthThenParallelCp) {
   AggregateConfig cfg;
   cfg.raid_groups = {hdd_group(16 * 1024)};
@@ -115,7 +115,8 @@ TEST(WriteAllocatorEngine, GrowthThenParallelCp) {
   ConsistencyPoint::run(agg, range(0, 20'000));
 
   agg.add_raid_group(hdd_group(16 * 1024));
-  // Overwrites: the boundary now partitions frees across both groups.
+  // Overwrites, so this CP's boundary drains frees with the new group in
+  // the group list.
   ConsistencyPoint::run(agg, range(10'000, 40'000));
 
   EXPECT_GT(agg.raid_group(1).stats().data_blocks_written, 0u);

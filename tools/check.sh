@@ -105,8 +105,9 @@ if [[ $TSAN -eq 1 ]]; then
   cmake --build build-tsan -j "$JOBS"
   echo "=== ctest build-tsan (concurrency suites) ==="
   # Everything that drives a ThreadPool or races writer threads: the
-  # parallel CP paths and the determinism contract, the engine itself, the
-  # pool primitives, the scan mount's one-level fan-outs (metafile block
+  # parallel CP paths and the determinism contract, the engine itself and
+  # the aggregate's pooled cases (the per-group boundary), the pool
+  # primitives, the scan mount's one-level fan-outs (metafile block
   # load, per-group scoring, per-volume scans), the parallel Iron verify
   # fan-out, the 4-worker emit-while-scan stress
   # (MountParallel.EmitWhileScanStress), the span layer's concurrent
@@ -114,7 +115,7 @@ if [[ $TSAN -eq 1 ]]; then
   # matrix, emit-while-freeze race, CAS claim fuzz, MPSC delayed-free
   # staging).
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'ParallelCp|CpDeterminism|OverlappedCp|ConcurrentIntake|AtomicClaimFuzz|DelayedFreeLog|WriteAllocatorEngine|ThreadPool|Mount|Scoreboard|BitmapMetafile|BlockStoreConcurrent|SpanTrace|Iron|Fleet' |
+    -R 'ParallelCp|CpDeterminism|OverlappedCp|ConcurrentIntake|AtomicClaimFuzz|DelayedFreeLog|WriteAllocatorEngine|ThreadPool|Mount|Scoreboard|BitmapMetafile|BlockStoreConcurrent|SpanTrace|Iron|Fleet|Aggregate' |
     tail -3
 fi
 
@@ -188,8 +189,8 @@ if [[ $PERF -eq 1 ]]; then
   hw=$(jq -r '.hw_threads' BENCH_parallel_cp.json)
   ident=$(jq -r '.identical_all_worker_counts' BENCH_parallel_cp.json)
   # 0.85 reflects the plan/execute allocation split: with the tetris fills
-  # fanned out, only the plan, the window flush, the free partition and the
-  # delta/stats merges remain serial.
+  # fanned out, only the plan, the window flush and the delta/stats merges
+  # remain serial.
   gate "parallel_fraction" "$pf" 0.85
   gate "alloc_parallel_fraction" "$apf" 0.85
   gate "amdahl_speedup_w4" "$a4" 1.50
