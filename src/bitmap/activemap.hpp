@@ -30,12 +30,6 @@ class Activemap {
   /// Marks `v` in use.  Immediate; asserts `v` was free.
   void allocate(Vbn v) { map_.set_allocated(v); }
 
-  /// Allocation half of the split-accounting pair: sets the bit only; the
-  /// caller folds the counts in later via metafile().apply_alloc_deltas().
-  /// Safe concurrently for word-disjoint VBNs (per-RAID-group execute
-  /// lists qualify — group ranges are multiples of kTetrisStripes).
-  void allocate_unaccounted(Vbn v) { map_.set_allocated_unaccounted(v); }
-
   bool is_allocated(Vbn v) const noexcept { return map_.test(v); }
 
   /// Queues `v` to be freed at the next CP boundary.  The bit stays set

@@ -52,6 +52,21 @@ class Bitmap {
     words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
 
+  /// Word `w`: bits [64w, 64w + 64), bit i of the word is bit 64w + i.
+  std::uint64_t word(std::uint64_t w) const noexcept {
+    WAFL_ASSERT(w < words_.size());
+    return words_[w];
+  }
+
+  /// Sets the bits of `mask` in word `w`.  Bits past size() must stay
+  /// clear.
+  void set_word_bits(std::uint64_t w, std::uint64_t mask) noexcept {
+    WAFL_ASSERT(w < words_.size());
+    WAFL_ASSERT(w + 1 < words_.size() || (nbits_ & 63) == 0 ||
+                (mask >> (nbits_ & 63)) == 0);
+    words_[w] |= mask;
+  }
+
   /// Number of SET bits in [begin, end).
   std::uint64_t count_set(std::uint64_t begin, std::uint64_t end) const;
 

@@ -1,6 +1,7 @@
 #include "bitmap/bitmap_metafile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/thread_pool.hpp"
@@ -36,6 +37,19 @@ void BitmapMetafile::set_allocated(Vbn v) {
   WAFL_ASSERT(free_per_block_[b] > 0);
   --free_per_block_[b];
   --total_free_;
+  mark_dirty(b);
+}
+
+void BitmapMetafile::set_allocated_word(std::uint64_t word,
+                                        std::uint64_t mask) {
+  WAFL_ASSERT(mask != 0);
+  WAFL_ASSERT_MSG((bits_.word(word) & mask) == 0, "double allocation");
+  bits_.set_word_bits(word, mask);
+  const std::uint64_t b = word / kWordsPerBlock;
+  const auto n = static_cast<std::uint32_t>(std::popcount(mask));
+  WAFL_ASSERT(free_per_block_[b] >= n);
+  free_per_block_[b] -= n;
+  total_free_ -= n;
   mark_dirty(b);
 }
 

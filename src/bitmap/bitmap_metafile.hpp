@@ -72,27 +72,36 @@ class BitmapMetafile {
   /// it.
   void account_frees(std::span<const Vbn> freed);
 
-  /// Allocation mirror of clear_unaccounted(): sets the bit for `v`
-  /// WITHOUT updating the free-count summary or the dirty set; the caller
-  /// must fold the same VBNs in via apply_alloc_deltas() before the next
-  /// summary query or flush.  Same word-disjointness contract as the free
-  /// side: concurrent callers are safe when their VBNs never share a
-  /// 64-bit word, which per-RAID-group ownership guarantees.  Asserts the
-  /// bit was free.
-  void set_allocated_unaccounted(Vbn v) {
-    WAFL_ASSERT_MSG(!bits_.test(v), "allocating an allocated block");
-    bits_.set(v);
+  /// Marks the VBNs of `mask` in bitmap word `word` (VBNs 64*word + i
+  /// for each set bit i) allocated: one bit update, one summary update
+  /// and one dirty mark for the whole word.  Equivalent to set_allocated()
+  /// on each VBN in ascending order.  `mask` must be non-zero; asserts
+  /// every bit was free.
+  void set_allocated_word(std::uint64_t word, std::uint64_t mask);
+
+  /// Allocation mirror of clear_unaccounted(), a word at a time: sets the
+  /// bits of `mask` in `word` WITHOUT updating the free-count summary or
+  /// the dirty set; the caller must fold the same counts in via
+  /// apply_alloc_deltas() before the next summary query or flush.  Same
+  /// word-disjointness contract as the free side: concurrent callers are
+  /// safe when they never share a 64-bit word, which per-RAID-group
+  /// ownership guarantees.  Asserts every bit was free.
+  void set_allocated_word_unaccounted(std::uint64_t word,
+                                      std::uint64_t mask) {
+    WAFL_ASSERT_MSG((bits_.word(word) & mask) == 0,
+                    "allocating an allocated block");
+    bits_.set_word_bits(word, mask);
   }
 
-  /// Per-metafile-block allocated counts staged by a set_allocated_
-  /// unaccounted() caller, for the serial summary merge in
-  /// apply_alloc_deltas().
+  /// Per-metafile-block allocated counts staged by a
+  /// set_allocated_word_unaccounted() caller, for the serial summary
+  /// merge in apply_alloc_deltas().
   struct AllocDelta {
     /// (metafile block, allocated count), ascending by block.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> per_block;
   };
 
-  /// Serial companion to set_allocated_unaccounted(): folds a staged
+  /// Serial companion to set_allocated_word_unaccounted(): folds a staged
   /// allocation delta into the per-block free counts, the total, and the
   /// dirty set.  Equivalent to having called set_allocated() per VBN.
   void apply_alloc_deltas(const AllocDelta& d);
@@ -129,7 +138,7 @@ class BitmapMetafile {
   /// any) by popcount — O(blocks) whatever the alignment.
   std::uint64_t free_in_range(Vbn begin, Vbn end) const;
 
-  /// free_in_range() while set_allocated_unaccounted() allocations are
+  /// free_in_range() while set_allocated_word_unaccounted() allocations are
   /// staged: the live bits already reflect them but the summary does not,
   /// so partial edge blocks (answered by popcount) are correct as-is and
   /// interior whole blocks subtract the caller's staged-count overlay.

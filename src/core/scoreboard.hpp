@@ -5,10 +5,11 @@
 //  (increments) and allocations (decrements) are delayed and performed
 //  efficiently in batched fashion at the CP boundary."
 //
-// During a CP, note_alloc()/note_free() accumulate per-AA deltas in O(1)
-// without touching the caches.  apply_cp_deltas() folds the deltas into the
-// scores in one pass and reports every (aa, old, new) change so the owning
-// AA cache can rebalance (max-heap) or re-bin (HBPS) exactly once per CP.
+// During a CP, note_alloc()/note_allocs()/note_free() accumulate per-AA
+// deltas in O(1) without touching the caches.  apply_cp_deltas() folds the
+// deltas into the scores in one pass and reports every (aa, old, new)
+// change so the owning AA cache can rebalance (max-heap) or re-bin (HBPS)
+// exactly once per CP.
 //
 // For flat layouts the score of an AA equals the free count of its single
 // bitmap-metafile block, which WAFL's free-space accounting maintains
@@ -56,6 +57,12 @@ class AaScoreBoard {
 
   /// Records the allocation of `v` (score decrement), deferred to the CP.
   void note_alloc(Vbn v) { note_delta(layout_.aa_of(v), -1); }
+
+  /// Records `n` allocations in the AA holding `v` — one delta for a
+  /// run of allocations (a bitmap word's worth) that lies in one AA.
+  void note_allocs(Vbn v, std::uint32_t n) {
+    note_delta(layout_.aa_of(v), -static_cast<std::int32_t>(n));
+  }
 
   /// Records the free of `v` (score increment), deferred to the CP.
   void note_free(Vbn v) { note_delta(layout_.aa_of(v), +1); }

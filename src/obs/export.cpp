@@ -313,6 +313,7 @@ bool kind_is_per_rg(SpanKind k) {
     case SpanKind::kWaRgExecute:
     case SpanKind::kRgFill:
     case SpanKind::kRgTetrisFlush:
+    case SpanKind::kRgDeviceWrite:
     case SpanKind::kFcRgBoundary:
     case SpanKind::kFcRgTopaa:
       return true;

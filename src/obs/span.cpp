@@ -40,6 +40,7 @@ std::string_view span_kind_name(SpanKind k) noexcept {
     case SpanKind::kWaMerge: return "wa.merge";
     case SpanKind::kRgFill: return "rg.fill";
     case SpanKind::kRgTetrisFlush: return "rg.tetris_flush";
+    case SpanKind::kRgDeviceWrite: return "rg.device_write";
     case SpanKind::kFcWindows: return "fc.windows";
     case SpanKind::kFcBoundary: return "fc.boundary";
     case SpanKind::kFcRgBoundary: return "fc.rg_boundary";

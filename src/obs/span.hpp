@@ -67,6 +67,7 @@ enum class SpanKind : std::uint8_t {
   // RgAllocator engine.
   kRgFill,         // a=rg   b=blocks taken
   kRgTetrisFlush,  // a=rg   b=window blocks
+  kRgDeviceWrite,  // a=rg   b=data + parity blocks submitted
   // WriteAllocator::finish_cp phases (mirror CpPhaseProfile buckets).
   kFcWindows,  // b=frees deferred
   kFcBoundary,

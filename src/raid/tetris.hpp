@@ -9,14 +9,23 @@
 //     place), so RAID must read blocks to compute parity; or
 //   - untouched — no blocks written.
 //
-// TetrisBuilder turns a set of written group-local VBNs within one tetris
-// window, together with the pre-write occupancy, into:
-//   - per-device write runs (contiguous dbn chains, §2.4),
-//   - parity-device writes (one parity block per written stripe), and
-//   - parity-computation reads, charged with the cheaper of the two
-//     standard schemes per stripe: recompute (read the unwritten data
-//     blocks) or read-modify-write (read old data under the writes plus the
-//     old parity).
+// TetrisBuilder classifies one tetris window a 64-bit word at a time.
+// With this library's VBN order (raid_geometry.hpp), device d's 64 blocks
+// of tetris t are the group-local VBNs (t*D + d)*64 ... +63: one bitmap
+// word, whose bit s is stripe s of the window.  The window is therefore D
+// words of written blocks plus the D words of pre-write occupancy the
+// activemap already holds, and the builder turns them into:
+//   - per-device write runs (contiguous dbn chains, §2.4) — the runs of
+//     set bits in each written word;
+//   - parity-device writes (one parity block per written stripe) — the
+//     runs of OR(written);
+//   - the stripe classes: full = AND(written) & ~OR(in use), partial =
+//     the other written stripes, untouched = ~OR(written);
+//   - parity-computation reads, charged per partial stripe with the
+//     cheaper of the two standard schemes: recompute (read the unwritten
+//     data blocks) or read-modify-write (read old data under the writes
+//     plus the old parity).  The per-stripe written counts come from
+//     bit-sliced counters over the D written words.
 #pragma once
 
 #include <cstdint>
@@ -75,91 +84,15 @@ class TetrisBuilder {
  public:
   explicit TetrisBuilder(const RaidGeometry& geom) : geom_(&geom) {}
 
-  /// Builds the I/O plan for writing `written_vbns` (group-local VBNs, all
-  /// within tetris window `tetris`, strictly ascending) given `in_use`,
-  /// which answers whether a group-local VBN held live data before this CP.
-  ///
-  /// `in_use` must reflect pre-write occupancy: a VBN being written now
-  /// must not be reported in use (COW guarantees this — writes only target
-  /// free blocks).
-  template <typename InUseFn>
-  TetrisWrite build(std::uint64_t tetris, std::span<const Vbn> written_vbns,
-                    InUseFn&& in_use) const {
-    const std::uint32_t d = geom_->data_devices();
-    const Vbn base = geom_->tetris_base_vbn(tetris);
-    const Dbn dbn_base = tetris * kTetrisStripes;
-
-    TetrisWrite out;
-    out.tetris = tetris;
-    out.device_runs.resize(d);
-    out.parity_runs.resize(geom_->parity_devices());
-
-    // Per-stripe counts within this 64-stripe window.
-    std::uint32_t written_in_stripe[kTetrisStripes] = {};
-    std::uint32_t in_use_in_stripe[kTetrisStripes] = {};
-
-    // Group written VBNs into per-device runs and tally stripes.
-    for (const Vbn v : written_vbns) {
-      WAFL_ASSERT(geom_->tetris_of(v) == tetris);
-      WAFL_ASSERT_MSG(!in_use(v), "writing an in-use block");
-      const BlockLocation loc = geom_->to_location(v);
-      const auto stripe_off = static_cast<std::uint32_t>(loc.dbn - dbn_base);
-      ++written_in_stripe[stripe_off];
-      auto& runs = out.device_runs[loc.device];
-      if (!runs.empty() &&
-          runs.back().start + runs.back().length == loc.dbn) {
-        ++runs.back().length;
-      } else {
-        runs.push_back({loc.dbn, 1});
-      }
-      ++out.data_blocks_written;
-    }
-
-    // Tally pre-existing occupancy per stripe (blocks not written now).
-    const Vbn window_end = base + geom_->blocks_per_tetris();
-    for (Vbn v = base; v < window_end; ++v) {
-      if (in_use(v)) {
-        const BlockLocation loc = geom_->to_location(v);
-        ++in_use_in_stripe[loc.dbn - dbn_base];
-      }
-    }
-
-    // Classify stripes and charge parity I/O.
-    const std::uint32_t p = geom_->parity_devices();
-    for (std::uint32_t s = 0; s < kTetrisStripes; ++s) {
-      const std::uint32_t w = written_in_stripe[s];
-      const std::uint32_t u = in_use_in_stripe[s];
-      if (w == 0) {
-        ++out.untouched_stripes;
-        continue;
-      }
-      if (u == 0 && w == d) {
-        ++out.full_stripes;
-      } else {
-        ++out.partial_stripes;
-        // Cheaper of the two standard schemes: read-modify-write reads the
-        // old contents of the written blocks plus the old parity (w + p —
-        // parity covers free blocks' on-media contents too), while
-        // recompute reads every block of the stripe that is not being
-        // written (d - w).
-        out.parity_read_blocks += std::min(w + p, d - w);
-      }
-      // Parity written for every touched stripe, one block per parity
-      // device.
-      const Dbn pdbn = dbn_base + s;
-      for (std::uint32_t pd = 0; pd < p; ++pd) {
-        auto& runs = out.parity_runs[pd];
-        if (!runs.empty() &&
-            runs.back().start + runs.back().length == pdbn) {
-          ++runs.back().length;
-        } else {
-          runs.push_back({pdbn, 1});
-        }
-        ++out.parity_blocks_written;
-      }
-    }
-    return out;
-  }
+  /// Builds the I/O plan for tetris window `tetris` into `out`, reusing
+  /// its vectors' capacity.  `written[d]` and `in_use[d]` are device d's
+  /// words of the window (bit s = stripe s): the blocks written now, and
+  /// the blocks that held live data before this CP.  Both spans hold
+  /// data_devices() words.  A block written now must not be in use (COW
+  /// writes only free blocks); overlapping words abort with "writing an
+  /// in-use block".
+  void build(std::uint64_t tetris, std::span<const std::uint64_t> written,
+             std::span<const std::uint64_t> in_use, TetrisWrite& out) const;
 
  private:
   const RaidGeometry* geom_;

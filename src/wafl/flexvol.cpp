@@ -1,6 +1,7 @@
 #include "wafl/flexvol.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/obs.hpp"
 #include "wafl/mount.hpp"
@@ -55,8 +56,10 @@ void FlexVol::resolve_metrics() {
   });
 }
 
-Vbn FlexVol::allocate_vvbn(CpStats& stats) {
-  const BitmapMetafile& map = activemap_.metafile();
+FlexVol::VvbnRun FlexVol::take_vvbn_run(std::uint64_t max,
+                                        CpStats& stats) {
+  WAFL_ASSERT(max > 0);
+  BitmapMetafile& map = activemap_.metafile();
   auto live_free = [&](AaId aa) {
     return map.free_in_range(layout_.aa_begin(aa), layout_.aa_end(aa));
   };
@@ -67,17 +70,37 @@ Vbn FlexVol::allocate_vvbn(CpStats& stats) {
     const Vbn pos = selector_.pos();
     const Vbn end = layout_.aa_end(selector_.open_aa());
     const Vbn v = map.find_free(pos, end);
-    stats.vol_bits_scanned += (v == end ? end : v + 1) - pos;
     if (v == end) {
+      stats.vol_bits_scanned += end - pos;
       selector_.retire();
       continue;
     }
-    selector_.set_pos(v + 1);
-    activemap_.allocate(v);
-    board_.note_alloc(v);
-    if (v + 1 == end) selector_.retire();
-    return v;
+    // The free bits of v's word from v on, clipped to the AA, lowest
+    // `max` of them.
+    const std::uint64_t word = v / 64;
+    const Vbn word_base = word * 64;
+    std::uint64_t free = ~map.bits().word(word) &
+                         (~std::uint64_t{0} << (v - word_base));
+    if (end - word_base < 64) {
+      free &= (std::uint64_t{1} << (end - word_base)) - 1;
+    }
+    std::uint64_t take = 0;
+    for (std::uint64_t n = 0; free != 0 && n < max; free &= free - 1, ++n) {
+      take |= free & -free;
+    }
+    const Vbn next = word_base + 64 - static_cast<Vbn>(std::countl_zero(take));
+    stats.vol_bits_scanned += next - pos;
+    selector_.set_pos(next);
+    map.set_allocated_word(word, take);
+    board_.note_allocs(v, static_cast<std::uint32_t>(std::popcount(take)));
+    if (next == end) selector_.retire();
+    return {word_base, take};
   }
+}
+
+Vbn FlexVol::allocate_vvbn(CpStats& stats) {
+  const VvbnRun run = take_vvbn_run(1, stats);
+  return run.base + static_cast<Vbn>(std::countr_zero(run.mask));
 }
 
 void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
@@ -85,6 +108,10 @@ void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
                        std::vector<Vbn>& freed_pvbns, CpStats& stats) {
   WAFL_ASSERT(pvbns.size() == dirty.size());
   WAFL_ASSERT(vvbns_out.size() == dirty.size());
+  // vvbns come in runs of up to 64 (one bitmap word of the open AA), and
+  // each run is remapped before the next is taken, so the metafile's and
+  // scoreboard's first-touch order is the per-block order.
+  //
   // Two-stage software pipeline over the dependent loads of remap():
   // block i+2d's block-map entry is prefetched, block i+d's is read (it
   // arrived during the last d blocks) and its old vvbn's container-map
@@ -92,25 +119,29 @@ void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
   // cache.  The prefetches only warm the cache; remap() re-reads
   // everything, so the result does not depend on the distance.
   const std::size_t n = dirty.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 2 * kRemapLookahead < n) {
-      // Address arithmetic only; a prefetch never faults.  The read stage
-      // below checks the index.
-      __builtin_prefetch(
-          block_map_.data() + dirty[i + 2 * kRemapLookahead].logical, 1);
-    }
-    if (i + kRemapLookahead < n) {
-      const std::uint64_t l = dirty[i + kRemapLookahead].logical;
-      WAFL_ASSERT(l < cfg_.file_blocks);
-      const Vbn old_vvbn = block_map_[l];
-      if (old_vvbn != kInvalidVbn) {
-        __builtin_prefetch(&container_map_[old_vvbn], 1);
+  std::size_t i = 0;
+  while (i < n) {
+    const VvbnRun run = take_vvbn_run(n - i, stats);
+    for (std::uint64_t m = run.mask; m != 0; m &= m - 1, ++i) {
+      if (i + 2 * kRemapLookahead < n) {
+        // Address arithmetic only; a prefetch never faults.  The read
+        // stage below checks the index.
+        __builtin_prefetch(
+            block_map_.data() + dirty[i + 2 * kRemapLookahead].logical, 1);
       }
+      if (i + kRemapLookahead < n) {
+        const std::uint64_t l = dirty[i + kRemapLookahead].logical;
+        WAFL_ASSERT(l < cfg_.file_blocks);
+        const Vbn old_vvbn = block_map_[l];
+        if (old_vvbn != kInvalidVbn) {
+          __builtin_prefetch(&container_map_[old_vvbn], 1);
+        }
+      }
+      const Vbn vvbn = run.base + static_cast<Vbn>(std::countr_zero(m));
+      vvbns_out[i] = vvbn;
+      const Vbn freed_pvbn = remap(dirty[i].logical, vvbn, pvbns[i]);
+      if (freed_pvbn != kInvalidVbn) freed_pvbns.push_back(freed_pvbn);
     }
-    const Vbn vvbn = allocate_vvbn(stats);
-    vvbns_out[i] = vvbn;
-    const Vbn freed_pvbn = remap(dirty[i].logical, vvbn, pvbns[i]);
-    if (freed_pvbn != kInvalidVbn) freed_pvbns.push_back(freed_pvbn);
   }
 }
 

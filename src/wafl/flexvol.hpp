@@ -87,7 +87,7 @@ class FlexVol {
 
   /// Allocates the next virtual VBN: sequential fill of the current AA,
   /// taking a fresh AA from the cache (or at random) when exhausted.
-  /// Records pick quality into `stats`.
+  /// Records pick quality into `stats`.  A run of one (take_vvbn_run).
   Vbn allocate_vvbn(CpStats& stats);
 
   /// Binds logical block l to (vvbn, pvbn), deferring the free of any
@@ -99,8 +99,10 @@ class FlexVol {
   /// allocate_vvbn() + remap() for each block, in order, binding
   /// dirty[i].logical to (vvbns_out[i], pvbns[i]).  Appends each freed
   /// pvbn to `freed_pvbns` in block order.  Byte-identical to the
-  /// per-block calls; it only prefetches the block-map and container-map
-  /// entries of blocks a few places ahead (DESIGN.md §17).
+  /// per-block calls: it takes the vvbns a bitmap word at a time
+  /// (take_vvbn_run), remapping each run before taking the next, and
+  /// prefetches the block-map and container-map entries of blocks a few
+  /// places ahead (DESIGN.md §17).
   void cp_remap(std::span<const DirtyBlock> dirty, std::span<const Vbn> pvbns,
                 std::span<Vbn> vvbns_out, std::vector<Vbn>& freed_pvbns,
                 CpStats& stats);
@@ -192,6 +194,18 @@ class FlexVol {
   /// Resolves the vol="<id>" metric handles into the selector and the
   /// delayed-free log.
   void resolve_metrics();
+
+  /// A run of vvbns taken together: bit i of `mask` is vvbn base + i.
+  struct VvbnRun {
+    Vbn base;
+    std::uint64_t mask;
+  };
+  /// Takes the open AA's next run of free vvbns — at most `max`, all in
+  /// one bitmap word and inside the AA — marks them allocated with one
+  /// metafile and one scoreboard update, and advances the cursor past the
+  /// last one.  Exactly what `popcount(mask)` allocate_vvbn() calls did
+  /// one at a time, vol_bits_scanned and AA retirement included.
+  VvbnRun take_vvbn_run(std::uint64_t max, CpStats& stats);
 
   const Runtime* rt_;
   VolumeId id_;

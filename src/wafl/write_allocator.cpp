@@ -1,6 +1,7 @@
 #include "wafl/write_allocator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <string>
 
@@ -50,6 +51,7 @@ RgAllocator::RgAllocator(RaidGroupId id, const RaidGroupConfig& rgc, Vbn base,
   skip_threshold_ = static_cast<AaScore>(
       skip_fraction * static_cast<double>(layout_.aa_blocks()));
   device_busy_.assign(raid_.geometry().total_devices(), 0);
+  window_words_.assign(rgc.data_devices, 0);
   for (std::uint32_t d = 0; d < rgc.data_devices; ++d) {
     data_devices_.push_back(make_device(rgc.media, rgc.device_blocks));
   }
@@ -117,7 +119,7 @@ std::uint64_t RgAllocator::plan_capacity() const {
   const BitmapMetafile& map = activemap_.metafile();
   const AaId open = selector_.open_aa();
   const AaId cleaned = selector_.checked_out();
-  WAFL_ASSERT(window_writes_.empty() || open != kInvalidAaId);
+  WAFL_ASSERT(window_blocks_ == 0 || open != kInvalidAaId);
   std::uint64_t unreachable = 0;
   if (open != kInvalidAaId) {
     unreachable += map.free_in_range(layout_.aa_begin(open), selector_.pos());
@@ -163,8 +165,8 @@ std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
                                 CpStats& stats) {
   obs::TraceSpan span(obs::SpanKind::kRgFill, raid_.id());
   const BitmapMetafile& map = activemap_.metafile();
-  const RaidGeometry& geom = raid_.geometry();
-  const std::uint64_t bpt = geom.blocks_per_tetris();
+  const Bitmap& bits = map.bits();
+  const std::uint64_t bpt = raid_.geometry().blocks_per_tetris();
 
   auto live_free = [this](AaId aa) { return live_aa_free(aa); };
 
@@ -175,10 +177,11 @@ std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
     const Vbn aa_end = layout_.aa_end(selector_.open_aa());
     Vbn pos = selector_.pos();
 
-    if (window_writes_.empty()) {
+    if (window_blocks_ == 0) {
       // No tetris is open: jump straight to the AA's next free block so a
       // run of fully-consumed windows costs one bitmap scan, not one turn
-      // per window.
+      // per window.  The jump counts the found bit and the take below
+      // counts it again, as the per-block scan did.
       const Vbn v = map.find_free(pos, aa_end);
       stats.agg_bits_scanned += (v == aa_end ? aa_end : v + 1) - pos;
       if (v == aa_end) {
@@ -186,25 +189,38 @@ std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
         continue;
       }
       pos = v;
+      window_tetris_ = (pos - base_) / bpt;
     }
 
-    const std::uint64_t local = pos - base_;
-    const Vbn window_end =
-        std::min<Vbn>(base_ + (local / bpt + 1) * bpt, aa_end);
+    // AAs are whole tetrises and base_ is word-aligned, so the window is
+    // D whole words, one per data device, inside the open AA.
+    const Vbn window_base = base_ + window_tetris_ * bpt;
+    const Vbn window_end = window_base + bpt;
+    WAFL_ASSERT(pos >= window_base && pos < window_end);
+    WAFL_ASSERT(window_end <= aa_end);
 
+    // Take free bits a word at a time, lowest first, stopping after the
+    // `need`th: the cursor then rests just past the last block taken, or
+    // at the next word when the word ran out first.
+    const Vbn start = pos;
     std::uint64_t taken = 0;
-    while (taken < need) {
-      const Vbn v = map.find_free(pos, window_end);
-      stats.agg_bits_scanned += (v == window_end ? window_end : v + 1) - pos;
-      if (v == window_end) {
-        pos = window_end;
-        break;
+    while (taken < need && pos < window_end) {
+      const std::uint64_t word = pos / 64;
+      std::uint64_t free =
+          ~bits.word(word) & (~std::uint64_t{0} << (pos % 64));
+      std::uint64_t take = 0;
+      int last = 0;
+      for (; free != 0 && taken < need; free &= free - 1, ++taken) {
+        last = std::countr_zero(free);
+        take |= std::uint64_t{1} << last;
+        out.push_back(word * 64 + static_cast<Vbn>(last));
       }
-      pos = v + 1;
-      out.push_back(v);
-      window_writes_.push_back(v);
-      ++taken;
+      window_words_[word - window_base / 64] |= take;
+      pos = taken == need ? word * 64 + static_cast<Vbn>(last) + 1
+                          : (word + 1) * 64;
     }
+    stats.agg_bits_scanned += pos - start;
+    window_blocks_ += taken;
     selector_.set_pos(pos);
 
     if (pos == window_end) {
@@ -221,24 +237,28 @@ std::uint64_t RgAllocator::fill(std::uint64_t need, std::vector<Vbn>& out,
   }
 }
 
+void RgAllocator::clear_window() {
+  std::fill(window_words_.begin(), window_words_.end(), 0);
+  window_blocks_ = 0;
+}
+
 void RgAllocator::flush_window(CpStats& stats) {
-  if (window_writes_.empty()) return;
+  if (window_blocks_ == 0) return;
   obs::TraceSpan span(obs::SpanKind::kRgTetrisFlush, raid_.id(),
-                      window_writes_.size());
+                      window_blocks_);
 
+  // The window's in-use words are read straight from the activemap: its
+  // blocks are marked allocated only below, so the classification sees
+  // pre-CP occupancy.
   const RaidGeometry& geom = raid_.geometry();
-  // Convert to group-local VBNs (ascending by construction).
-  std::vector<Vbn> local;
-  local.reserve(window_writes_.size());
-  for (const Vbn v : window_writes_) {
-    local.push_back(v - base_);
-  }
-  const std::uint64_t tetris = geom.tetris_of(local.front());
-  WAFL_ASSERT(geom.tetris_of(local.back()) == tetris);
-
-  const TetrisWrite tw = raid_.builder().build(tetris, local, [&](Vbn lv) {
-    return activemap_.metafile().test(base_ + lv);
-  });
+  const std::uint32_t ndata = geom.data_devices();
+  BitmapMetafile& map = activemap_.metafile();
+  const std::uint64_t first_word =
+      (base_ + geom.tetris_base_vbn(window_tetris_)) / 64;
+  const std::span<const std::uint64_t> in_use(
+      map.bits().words().data() + first_word, ndata);
+  raid_.builder().build(window_tetris_, window_words_, in_use, tetris_write_);
+  const TetrisWrite& tw = tetris_write_;
   raid_.stats().accumulate(tw);
 
   ++stats.tetrises;
@@ -248,38 +268,49 @@ void RgAllocator::flush_window(CpStats& stats) {
   stats.write_chains += tw.total_chains();
   stats.blocks_written += tw.data_blocks_written;
 
-  // Submit to the device models.  Parity-computation reads are spread
-  // evenly across the group's devices.
-  const std::uint32_t ndev = geom.total_devices();
-  const std::uint64_t read_share = tw.parity_read_blocks / ndev;
-  std::uint64_t read_extra = tw.parity_read_blocks % ndev;
-  for (std::uint32_t d = 0; d < geom.data_devices(); ++d) {
-    const std::uint64_t reads = read_share + (read_extra > 0 ? 1 : 0);
-    if (read_extra > 0) --read_extra;
-    device_busy_[d] += data_devices_[d]->write_batch(tw.device_runs[d], reads);
-  }
-  for (std::uint32_t p = 0; p < geom.parity_devices(); ++p) {
-    const std::uint64_t reads = read_share + (read_extra > 0 ? 1 : 0);
-    if (read_extra > 0) --read_extra;
-    device_busy_[geom.data_devices() + p] +=
-        parity_devices_[p]->write_batch(tw.parity_runs[p], reads);
+  {
+    // Submit to the device models (the simulator, timed apart from the
+    // classification above).  Parity-computation reads are spread evenly
+    // across the group's devices.
+    obs::TraceSpan io_span(obs::SpanKind::kRgDeviceWrite, raid_.id(),
+                           tw.data_blocks_written + tw.parity_blocks_written);
+    const std::uint32_t ndev = geom.total_devices();
+    const std::uint64_t read_share = tw.parity_read_blocks / ndev;
+    std::uint64_t read_extra = tw.parity_read_blocks % ndev;
+    for (std::uint32_t d = 0; d < ndata; ++d) {
+      const std::uint64_t reads = read_share + (read_extra > 0 ? 1 : 0);
+      if (read_extra > 0) --read_extra;
+      device_busy_[d] +=
+          data_devices_[d]->write_batch(tw.device_runs[d], reads);
+    }
+    for (std::uint32_t p = 0; p < geom.parity_devices(); ++p) {
+      const std::uint64_t reads = read_share + (read_extra > 0 ? 1 : 0);
+      if (read_extra > 0) --read_extra;
+      device_busy_[ndata + p] +=
+          parity_devices_[p]->write_batch(tw.parity_runs[p], reads);
+    }
   }
 
-  // Mark the window's blocks allocated only now: the tetris classification
-  // above must see pre-CP occupancy.  In staged mode (the parallel execute
-  // phase) only the bits are set — they are word-disjoint across groups —
-  // and the shared summary/dirty accounting waits in the overlay for the
-  // serial merge.
-  for (const Vbn v : window_writes_) {
+  // Mark the window's blocks allocated, a word at a time in ascending VBN
+  // order (the metafile's and scoreboard's first-touch order is the
+  // per-block order).  In staged mode (the parallel execute phase) only
+  // the bits are set — they are word-disjoint across groups — and the
+  // shared summary/dirty accounting waits in the overlay for the serial
+  // merge.
+  for (std::uint32_t d = 0; d < ndata; ++d) {
+    const std::uint64_t mask = window_words_[d];
+    if (mask == 0) continue;
+    const std::uint64_t word = first_word + d;
+    const auto n = static_cast<std::uint32_t>(std::popcount(mask));
     if (staged_) {
-      activemap_.allocate_unaccounted(v);
-      ++staged_allocs_[v / kBitsPerBitmapBlock - staged_base_];
+      map.set_allocated_word_unaccounted(word, mask);
+      staged_allocs_[word * 64 / kBitsPerBitmapBlock - staged_base_] += n;
     } else {
-      activemap_.allocate(v);
+      map.set_allocated_word(word, mask);
     }
-    board_.note_alloc(v);
+    board_.note_allocs(word * 64, n);
   }
-  window_writes_.clear();
+  clear_window();
 }
 
 BitmapMetafile::FreeDelta RgAllocator::cp_boundary() {
@@ -365,7 +396,7 @@ void RgAllocator::fold_device_metrics() {
 }
 
 bool RgAllocator::mount_seed() {
-  window_writes_.clear();
+  clear_window();
   TopAaFile topaa(topaa_store_, topaa_base_);
   if (selector_.load_topaa(topaa)) return true;
   // Damaged/missing TopAA: rebuild this group the slow way.
@@ -379,7 +410,7 @@ void RgAllocator::rescan() {
     board_ = AaScoreBoard(layout_, activemap_.metafile());
   });
   ScanProfile::timed(prof.build_ns, [&] {
-    window_writes_.clear();
+    clear_window();
     selector_.rebuild();
   });
 }
@@ -403,6 +434,7 @@ WriteAllocator::~WriteAllocator() = default;
 RaidGroupId WriteAllocator::add_group(const RaidGroupConfig& rgc, Vbn base) {
   const auto id = static_cast<RaidGroupId>(groups_.size());
   WAFL_ASSERT(groups_.empty() || base == groups_.back()->end());
+  WAFL_ASSERT_MSG(base % 64 == 0, "RAID group base is not word-aligned");
   // A per-group kRandom stream: execute fans groups out, so no stream is
   // shared across groups.
   groups_.push_back(std::make_unique<RgAllocator>(
@@ -740,14 +772,18 @@ void WriteAllocator::seed_occupancy(RaidGroupId rg_id, double fraction,
   WAFL_ASSERT(fraction >= 0.0 && fraction <= 1.0);
   WAFL_ASSERT_MSG(rg.window_idle() && rg.selector_.open_aa() == kInvalidAaId,
                   "seed_occupancy during a CP");
-  const Vbn begin = rg.base();
-  const Vbn end = rg.end();
-  for (Vbn v = begin; v < end; ++v) {
-    if (!activemap_.is_allocated(v) && rng.chance(fraction)) {
-      activemap_.allocate(v);
+  // One draw per free bit in ascending VBN order, one metafile update per
+  // word.  The group spans whole words (add_group).
+  BitmapMetafile& map = activemap_.metafile();
+  for (std::uint64_t word = rg.base() / 64; word < rg.end() / 64; ++word) {
+    std::uint64_t claim = 0;
+    for (std::uint64_t free = ~map.bits().word(word); free != 0;
+         free &= free - 1) {
+      if (rng.chance(fraction)) claim |= free & -free;
     }
+    if (claim != 0) map.set_allocated_word(word, claim);
   }
-  activemap_.metafile().begin_cp();  // discard the artificial dirty set
+  map.begin_cp();  // discard the artificial dirty set
   rg.rescan();
 }
 

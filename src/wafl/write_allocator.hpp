@@ -26,8 +26,8 @@
 // always meets.  EXECUTE then fans the groups over the ThreadPool: each
 // RgAllocator picks AAs from its own cache (or its own Rng under
 // kRandom), fills tetris windows, issues writes to its group-owned
-// devices, and stages its activemap bits (set_allocated_unaccounted —
-// bit set now, summary delta folded later).
+// devices, and stages its activemap bits (set_allocated_word_unaccounted
+// — bits set now, a word at a time, summary delta folded later).
 // A serial MERGE applies the per-group AllocDeltas to the shared summary
 // and folds per-group CpStats, both in fixed group order.
 //
@@ -49,7 +49,8 @@
 //  2. each parallel phase touches only disjoint state.  Execute and
 //     cp_boundary are group-disjoint; bitmap bit sets and clears are
 //     group-disjoint at word granularity too, because device_blocks is a
-//     multiple of kTetrisStripes (64), so every group's VBN range spans
+//     multiple of kTetrisStripes (64) and every group starts on a word
+//     boundary (add_group asserts it), so every group's VBN range spans
 //     whole 64-bit bitmap words.  The metafile flush partitions the dirty
 //     list, so every metafile store block has exactly one writer; the
 //     TopAA commits write per-group slots that never share a store block;
@@ -134,21 +135,23 @@ class RgAllocator {
   /// First VBN past this group's range.
   Vbn end() const noexcept { return base_ + raid_.geometry().data_blocks(); }
   /// True when no tetris window is open (quiescence check for growth).
-  bool window_idle() const noexcept { return window_writes_.empty(); }
+  bool window_idle() const noexcept { return window_blocks_ == 0; }
 
   // --- CP-side allocation --------------------------------------------------
   /// Starts a CP interval: clears per-CP device-busy accounting.
   void begin_cp();
 
   /// Allocates up to `need` pvbns from the group's current tetris window,
-  /// checking out a fresh AA when needed.  Runs only inside execute's
-  /// staged mode, after the plan has applied §3.3.1's skip bias.  Returns
-  /// the number taken (0 only when the group is full).
+  /// checking out a fresh AA when needed.  Free blocks are taken a bitmap
+  /// word (one device's column of the window) at a time.  Runs only
+  /// inside execute's staged mode, after the plan has applied §3.3.1's
+  /// skip bias.  Returns the number taken (0 only when the group is
+  /// full).
   std::uint64_t fill(std::uint64_t need, std::vector<Vbn>& out,
                      CpStats& stats);
 
   /// Builds and submits the TetrisWrite for the open window, then marks
-  /// the window's blocks allocated.
+  /// the window's blocks allocated, one bitmap word per device.
   void flush_window(CpStats& stats);
 
   /// Defers the free of `v`, one of this group's pvbns, to the CP
@@ -219,7 +222,7 @@ class RgAllocator {
   /// what the group can deliver without another checkout — the cursor-
   /// drain allowance a bias-ineligible group still gets.
   std::uint64_t plan_cursor_free() const;
-  /// Enters staged-allocation mode: flush_window() sets activemap bits
+  /// Enters staged-allocation mode: flush_window() sets activemap words
   /// only (word-disjoint across groups) and counts them in a per-metafile-
   /// block overlay instead of touching the shared summary/dirty set.
   void begin_staged_alloc();
@@ -253,7 +256,21 @@ class RgAllocator {
   BlockStore& topaa_store_;
   std::uint64_t topaa_base_;
 
-  std::vector<Vbn> window_writes_;
+  /// Drops the open tetris window without writing it.
+  void clear_window();
+
+  /// The open tetris window: its group-local tetris index and one word of
+  /// blocks taken per data device (bit s of window_words_[d] is stripe s
+  /// of device d — VBN base_ + (window_tetris_ * D + d) * 64 + s).  The
+  /// bits are set in the activemap only when the window is flushed, so
+  /// the builder still sees pre-CP occupancy.
+  std::uint64_t window_tetris_ = 0;
+  std::vector<std::uint64_t> window_words_;
+  /// Blocks taken into the open window; 0 when no window is open.
+  std::uint64_t window_blocks_ = 0;
+  /// The last flushed window's I/O plan, rebuilt in place by every flush
+  /// so its vectors keep their capacity.
+  TetrisWrite tetris_write_;
   /// This CP's deferred frees, in deferral order (note_free), drained by
   /// cp_boundary().
   std::vector<Vbn> frees_;
@@ -264,8 +281,8 @@ class RgAllocator {
   std::uint64_t ssd_relocations_folded_ = 0;
 
   /// Staged-allocation mode (execute phase): per-metafile-block count of
-  /// bits set via set_allocated_unaccounted(), pending the serial summary
-  /// merge.  `staged_base_` is the group's first metafile block.
+  /// bits set via set_allocated_word_unaccounted(), pending the serial
+  /// summary merge.  `staged_base_` is the group's first metafile block.
   bool staged_ = false;
   std::vector<std::uint32_t> staged_allocs_;
   std::uint64_t staged_base_ = 0;
@@ -351,10 +368,13 @@ class WriteAllocator {
   WriteAllocator(WriteAllocator&&) = default;
 
   /// Registers a group over [base, base + data blocks).  Ranges must be
-  /// appended in ascending VBN order.  The round-robin pointer is clamped
-  /// so mid-run growth cannot leave it referencing a rotation slot that
-  /// only exists in the new, larger modulus (the pre-engine bug: growth
-  /// silently skewed the rotation until the pointer next wrapped).
+  /// appended in ascending VBN order, and `base` must be a multiple of 64:
+  /// the tetris windows are whole bitmap words, and the staged execute
+  /// sets each group's words from its own pool worker.  The round-robin
+  /// pointer is clamped so mid-run growth cannot leave it referencing a
+  /// rotation slot that only exists in the new, larger modulus (the
+  /// pre-engine bug: growth silently skewed the rotation until the pointer
+  /// next wrapped).
   RaidGroupId add_group(const RaidGroupConfig& rgc, Vbn base);
 
   std::size_t group_count() const noexcept { return groups_.size(); }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <thread>
 #include <vector>
 
@@ -357,6 +358,57 @@ TEST(BitmapMetafile, LoadAllMasksFinalBlockTail) {
   // The poisoned bits are beyond size(); growth must hand them out clean.
   reloaded.grow(n + 100);
   EXPECT_EQ(reloaded.free_in_range(n, n + 100), 100u);
+}
+
+// Word allocation against per-bit set_allocated(): same bits, per-block
+// summaries, total and dirty list (first-touch order included), and the
+// unaccounted twin plus apply_alloc_deltas() lands in the same state.
+TEST(BitmapMetafile, SetAllocatedWordMatchesPerBit) {
+  const std::uint64_t n = 3 * kBitsPerBitmapBlock + 100;
+  BitmapMetafile word(n), unaccounted(n), per_bit(n);
+  Rng rng(9);
+  std::vector<std::uint32_t> staged(word.metafile_blocks(), 0);
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t w = rng.below((n + 63) / 64);
+    std::uint64_t mask = ~word.bits().word(w) & rng.next();
+    if (w == n / 64) mask &= (std::uint64_t{1} << (n % 64)) - 1;
+    if (mask == 0) continue;
+    word.set_allocated_word(w, mask);
+    unaccounted.set_allocated_word_unaccounted(w, mask);
+    staged[w * 64 / kBitsPerBitmapBlock] +=
+        static_cast<std::uint32_t>(std::popcount(mask));
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      per_bit.set_allocated(w * 64 + static_cast<Vbn>(std::countr_zero(m)));
+    }
+  }
+  BitmapMetafile::AllocDelta delta;
+  for (std::uint64_t b = 0; b < staged.size(); ++b) {
+    if (staged[b] != 0) delta.per_block.emplace_back(b, staged[b]);
+  }
+  unaccounted.apply_alloc_deltas(delta);
+
+  const auto dirty = [](const BitmapMetafile& mf) {
+    return std::vector<std::uint64_t>(mf.dirty_list().begin(),
+                                      mf.dirty_list().end());
+  };
+  EXPECT_EQ(word.bits().words(), per_bit.bits().words());
+  EXPECT_EQ(unaccounted.bits().words(), per_bit.bits().words());
+  EXPECT_EQ(word.total_free(), per_bit.total_free());
+  EXPECT_EQ(unaccounted.total_free(), per_bit.total_free());
+  EXPECT_EQ(dirty(word), dirty(per_bit));
+  for (std::uint64_t b = 0; b < per_bit.metafile_blocks(); ++b) {
+    EXPECT_EQ(word.block_free_count(b), per_bit.block_free_count(b));
+    EXPECT_EQ(unaccounted.block_free_count(b), per_bit.block_free_count(b));
+  }
+}
+
+TEST(BitmapMetafileDeathTest, DoubleWordAllocationAsserts) {
+  BitmapMetafile mf(kBitsPerBitmapBlock);
+  mf.set_allocated(64 + 63);
+  EXPECT_DEATH(mf.set_allocated_word(1, std::uint64_t{3} << 62),
+               "double allocation");
+  EXPECT_DEATH(mf.set_allocated_word_unaccounted(1, std::uint64_t{1} << 63),
+               "allocating an allocated block");
 }
 
 TEST(BitmapMetafileDeathTest, DoubleAllocationAsserts) {

@@ -190,6 +190,26 @@ TEST(SpanTrace, SummarySelfTimeAndCriticalPath) {
   EXPECT_NE(json.find("\"occupancy\": 0.6"), std::string::npos);
 }
 
+// A tetris flush [0,10ms] of rg 3 around its device writes [2,9ms]: the
+// flush keeps 3ms of self time, and both kinds break down by rg.
+TEST(SpanTrace, DeviceWriteSplitsTetrisFlushSelfTime) {
+  const auto ms = [](std::uint64_t m) { return m * 1'000'000; };
+  std::vector<SpanRecord> recs(2);
+  recs[0] = {1, 0, ms(0), ms(10), 3, 128, SpanKind::kRgTetrisFlush, 0};
+  recs[1] = {2, 1, ms(2), ms(9), 3, 160, SpanKind::kRgDeviceWrite, 0};
+  const std::string json = span_summary_json(recs, /*dropped=*/0);
+  EXPECT_NE(json.find("{\"kind\": \"rg.tetris_flush\", \"count\": 1, "
+                      "\"wall_ms\": 10.000000, \"self_ms\": 3.000000, "
+                      "\"by_rg\": [{\"rg\": 3"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"kind\": \"rg.device_write\", \"count\": 1, "
+                      "\"wall_ms\": 7.000000, \"self_ms\": 7.000000, "
+                      "\"by_rg\": [{\"rg\": 3"),
+            std::string::npos)
+      << json;
+}
+
 /// TSAN target: four producers emit while the main thread snapshots
 /// concurrently; every record a racing snapshot yields is internally
 /// consistent, and a quiesced snapshot sees exactly the survivors.

@@ -137,6 +137,21 @@ TEST(SpanTimeline, BalancedMonotonicAcrossWorkerCounts) {
     // Per-group kinds fire once per RAID group.
     EXPECT_EQ(per_kind[SpanKind::kFcRgBoundary], 2u);
     EXPECT_EQ(per_kind[SpanKind::kFcRgTopaa], 2u);
+    // Every tetris flush submits its device writes under one
+    // rg.device_write child, so the flush's self time is the RAID
+    // classification and the bitmap update alone.
+    EXPECT_GT(per_kind[SpanKind::kRgTetrisFlush], 0u);
+    EXPECT_EQ(per_kind[SpanKind::kRgDeviceWrite],
+              per_kind[SpanKind::kRgTetrisFlush]);
+    std::unordered_map<std::uint64_t, const SpanRecord*> by_id;
+    for (const SpanRecord& r : snap) by_id.emplace(r.id, &r);
+    for (const SpanRecord& r : snap) {
+      if (r.kind != SpanKind::kRgDeviceWrite) continue;
+      const SpanRecord& parent = *by_id.at(r.parent);
+      EXPECT_EQ(parent.kind, SpanKind::kRgTetrisFlush);
+      EXPECT_EQ(parent.a, r.a);
+    }
+    EXPECT_EQ(span_kind_name(SpanKind::kRgDeviceWrite), "rg.device_write");
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "raid/raid_geometry.hpp"
 #include "raid/tetris.hpp"
+#include "tetris_words.hpp"
 
 namespace wafl {
 namespace {
@@ -71,8 +72,8 @@ TEST_P(GeometrySweep, FullWindowWriteIsAllFullStripes) {
   for (Vbn v = 0; v < g.blocks_per_tetris(); ++v) {
     writes.push_back(v);
   }
-  const TetrisWrite tw =
-      builder.build(0, writes, [](Vbn) { return false; });
+  const TetrisWrite tw = test::build_from_vbns(builder, g, 0, writes,
+                                               [](Vbn) { return false; });
   EXPECT_EQ(tw.full_stripes, kTetrisStripes);
   EXPECT_EQ(tw.partial_stripes, 0u);
   EXPECT_EQ(tw.parity_read_blocks, 0u);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace wafl {
 namespace {
@@ -217,6 +224,152 @@ TEST(FlexVol, ScanRebuildMatchesLiveState) {
   EXPECT_EQ(vol.free_blocks(), free_before);
   EXPECT_EQ(vol.scoreboard().total_free(), free_before);
   EXPECT_TRUE(vol.cache().validate());
+}
+
+// cp_remap's word runs against per-block allocation.  Two volumes share
+// one fragmented history; one remaps a dirty list through cp_remap in
+// chunks that end mid-word and mid-AA, the other block by block through
+// allocate_vvbn() + remap().  AAs of 100 blocks, and a last AA of 30,
+// end mid-word.  Both must take the blocks a per-bit find_free loop over
+// the pre-CP bitmap takes, in the AAs the allocator opened, count the
+// same vol_bits_scanned (the distance the cursor moved), and retire each
+// AA at the same point.
+TEST(FlexVol, VvbnRunsMatchPerBitAllocation) {
+  FlexVolConfig cfg;
+  cfg.vvbn_blocks = 1030;
+  cfg.file_blocks = 700;
+  cfg.aa_blocks = 100;
+  auto aged = [&cfg] {
+    auto vol = std::make_unique<FlexVol>(0, cfg, 7);
+    CpStats stats;
+    for (std::uint64_t l = 0; l < cfg.file_blocks; ++l) {
+      vol->remap(l, vol->allocate_vvbn(stats), l);
+    }
+    vol->finish_cp(stats);
+    Rng rng(3);
+    for (std::uint64_t l = 0; l < cfg.file_blocks; ++l) {
+      if (rng.chance(0.45)) vol->remap(l, vol->allocate_vvbn(stats), l);
+    }
+    vol->finish_cp(stats);
+    vol->scan_rebuild();  // start the test CP with no open AA
+    return vol;
+  };
+  const auto runs = aged();
+  const auto blocks = aged();
+  const Bitmap before = runs->activemap().metafile().bits();
+  const AaLayout& layout = runs->layout();
+
+  const std::size_t n = 300;
+  const std::size_t chunks[] = {1, 5, 63, 64, 65, 100, 2};
+  ASSERT_GE(runs->free_blocks(), n);
+  std::vector<DirtyBlock> dirty;
+  std::vector<Vbn> pvbns;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    dirty.push_back({0, (i * 3) % cfg.file_blocks});
+    pvbns.push_back(5000 + i);
+  }
+  // Block by block first, recording the cursor after every block.
+  CpStats run_stats, block_stats;
+  std::vector<Vbn> block_vvbns, block_freed;
+  std::vector<std::optional<AaId>> cursor_after;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vbn vvbn = blocks->allocate_vvbn(block_stats);
+    block_vvbns.push_back(vvbn);
+    const Vbn freed = blocks->remap(dirty[i].logical, vvbn, pvbns[i]);
+    if (freed != kInvalidVbn) block_freed.push_back(freed);
+    cursor_after.push_back(blocks->cursor_aa());
+  }
+
+  // Then in runs, in chunks that also stop right after each block that
+  // ends its AA, where the per-bit loop retires the AA at once.
+  std::set<std::size_t> stops;
+  for (std::size_t at = 0, k = 0; at < n; at += chunks[k++ % 7]) {
+    stops.insert(at);
+  }
+  std::size_t aa_ends = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vbn v = block_vvbns[i];
+    if (v + 1 == layout.aa_end(layout.aa_of(v))) {
+      stops.insert(i + 1);
+      ++aa_ends;
+    }
+  }
+  ASSERT_GT(aa_ends, 0u);
+  stops.insert(n);
+  std::vector<Vbn> run_vvbns(n), run_freed;
+  for (auto it = stops.begin(); std::next(it) != stops.end(); ++it) {
+    const std::size_t at = *it;
+    const std::size_t len = *std::next(it) - at;
+    runs->cp_remap(std::span(dirty).subspan(at, len),
+                   std::span(pvbns).subspan(at, len),
+                   std::span(run_vvbns).subspan(at, len), run_freed,
+                   run_stats);
+    // Retire point: the cursor closes exactly when the last vvbn taken
+    // was its AA's last block.
+    const Vbn last = run_vvbns[at + len - 1];
+    const AaId last_aa = layout.aa_of(last);
+    const bool at_aa_end = last + 1 == layout.aa_end(last_aa);
+    ASSERT_EQ(runs->cursor_aa().has_value(), !at_aa_end)
+        << "block " << at + len;
+    if (!at_aa_end) {
+      EXPECT_EQ(*runs->cursor_aa(), last_aa);
+    }
+    ASSERT_EQ(runs->cursor_aa(), cursor_after[at + len - 1])
+        << "block " << at + len;
+  }
+  EXPECT_EQ(run_vvbns, block_vvbns);
+  EXPECT_EQ(run_freed, block_freed);
+  EXPECT_EQ(run_stats.vol_bits_scanned, block_stats.vol_bits_scanned);
+  EXPECT_EQ(run_stats.vol_pick_free_frac.count(),
+            block_stats.vol_pick_free_frac.count());
+  EXPECT_EQ(run_stats.hbps_replenishes, block_stats.hbps_replenishes);
+  // Same first-touch order in the metafile's dirty list and the same
+  // pending score deltas.
+  const auto dirty_of = [](const FlexVol& v) {
+    const auto list = v.activemap().metafile().dirty_list();
+    return std::vector<std::uint64_t>(list.begin(), list.end());
+  };
+  EXPECT_EQ(dirty_of(*runs), dirty_of(*blocks));
+  for (AaId aa = 0; aa < layout.aa_count(); ++aa) {
+    EXPECT_EQ(runs->scoreboard().pending_delta(aa),
+              blocks->scoreboard().pending_delta(aa));
+  }
+  EXPECT_EQ(runs->activemap().metafile().bits().words(),
+            blocks->activemap().metafile().bits().words());
+
+  // The per-bit find_free loop over the AAs the allocator opened.
+  std::vector<Vbn> expected;
+  std::uint64_t scanned = 0;
+  while (expected.size() < n) {
+    const AaId aa = layout.aa_of(run_vvbns[expected.size()]);
+    const Vbn end = layout.aa_end(aa);
+    Vbn pos = layout.aa_begin(aa);
+    const std::size_t taken_before = expected.size();
+    while (expected.size() < n) {
+      const Vbn v = before.find_first_clear(pos, end);
+      if (v == end) {
+        pos = end;
+        break;
+      }
+      expected.push_back(v);
+      pos = v + 1;
+    }
+    scanned += pos - layout.aa_begin(aa);
+    ASSERT_GT(expected.size(), taken_before) << "AA " << aa << " reopened";
+    ASSERT_TRUE(
+        std::equal(expected.begin(), expected.end(), run_vvbns.begin()))
+        << "diverged in AA " << aa;
+  }
+  EXPECT_EQ(run_vvbns, expected);
+  EXPECT_EQ(run_stats.vol_bits_scanned, scanned);
+
+  runs->finish_cp(run_stats);
+  blocks->finish_cp(block_stats);
+  EXPECT_TRUE(runs->cache().validate());
+  EXPECT_EQ(runs->scoreboard().total_free(), runs->free_blocks());
+  for (AaId aa = 0; aa < layout.aa_count(); ++aa) {
+    EXPECT_EQ(runs->scoreboard().score(aa), blocks->scoreboard().score(aa));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // until the pointer happened to wrap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -122,6 +124,81 @@ TEST(WriteAllocatorEngine, GrowthThenParallelCp) {
   EXPECT_GT(agg.raid_group(1).stats().data_blocks_written, 0u);
   EXPECT_EQ(agg.free_blocks(),
             agg.total_blocks() - 40'000u);
+}
+
+// The word-at-a-time fill against a per-bit find_free loop on the same
+// state.  Walking the AAs the allocator opened, in order, and taking each
+// one's free blocks (as of before the CP) one find_free at a time must
+// give exactly the blocks the fill took: an AA is left only when it has
+// none left.  agg_bits_scanned must count what the per-bit scan counted:
+// the distance the cursor moved in every AA, plus the free bit each new
+// tetris window's jump found (the take counts that bit again).  The
+// demand comes in chunks that end mid-word, mid-window and mid-AA.
+TEST(RgAllocator, FillRunsMatchPerBitAllocation) {
+  RaidGroupConfig rg = hdd_group(1024);  // 16 tetrises of 3 x 64 blocks
+  rg.aa_stripes = 128;                   // 8 AAs of two tetrises
+  AggregateConfig cfg;
+  cfg.raid_groups = {rg};
+  Aggregate agg(cfg, 11);
+  Rng rng(42);
+  agg.seed_rg_occupancy(0, 0.55, rng);
+  const Bitmap before = agg.activemap().metafile().bits();
+  const AaLayout& layout = agg.rg_layout(0);
+  const std::uint64_t bpt = agg.raid_group(0).geometry().blocks_per_tetris();
+
+  CpStats stats;
+  std::vector<Vbn> out;
+  agg.begin_cp();
+  const std::uint64_t want = agg.free_blocks() * 3 / 4;
+  const std::uint64_t chunks[] = {1, 7, 63, 64, 65, 200, 3, 129};
+  for (std::size_t i = 0; out.size() < want; ++i) {
+    const std::uint64_t n = std::min(chunks[i % 8], want - out.size());
+    ASSERT_TRUE(agg.allocate_pvbns(n, out, stats));
+  }
+
+  std::vector<Vbn> expected;
+  std::set<std::uint64_t> windows;
+  std::uint64_t scanned = 0;
+  while (expected.size() < out.size()) {
+    const AaId aa = layout.aa_of(out[expected.size()]);
+    const Vbn end = layout.aa_end(aa);
+    Vbn pos = layout.aa_begin(aa);
+    const std::size_t taken_before = expected.size();
+    while (expected.size() < out.size()) {
+      const Vbn v = before.find_first_clear(pos, end);
+      if (v == end) {
+        pos = end;
+        break;
+      }
+      expected.push_back(v);
+      windows.insert(v / bpt);
+      pos = v + 1;
+    }
+    scanned += pos - layout.aa_begin(aa);
+    ASSERT_GT(expected.size(), taken_before) << "AA " << aa << " reopened";
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
+        << "diverged in AA " << aa;
+  }
+  scanned += windows.size();
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(stats.agg_bits_scanned, scanned);
+
+  // Every window is written once, its blocks marked allocated.
+  agg.finish_cp(stats);
+  EXPECT_EQ(stats.tetrises, windows.size());
+  EXPECT_EQ(stats.blocks_written, out.size());
+  for (const Vbn v : out) ASSERT_TRUE(agg.activemap().is_allocated(v));
+  EXPECT_EQ(agg.rg_scoreboard(0).total_free(), agg.free_blocks());
+}
+
+// Tetris windows are whole bitmap words only when every group starts on a
+// word boundary.
+TEST(WriteAllocatorEngineDeathTest, UnalignedGroupBaseAborts) {
+  Activemap activemap(8192);
+  BlockStore topaa(TopAaFile::kRaidAgnosticBlocks);
+  WriteAllocator walloc(AaSelectPolicy::kCache, 0.0, 1, activemap, topaa);
+  EXPECT_DEATH(walloc.add_group(hdd_group(1024), 32),
+               "RAID group base is not word-aligned");
 }
 
 }  // namespace
