@@ -62,16 +62,6 @@ void BitmapMetafile::set_free(Vbn v) {
   mark_dirty(b);
 }
 
-void BitmapMetafile::account_frees(std::span<const Vbn> freed) {
-  for (const Vbn v : freed) {
-    WAFL_ASSERT_MSG(!bits_.test(v), "accounting an uncleared free");
-    const std::uint64_t b = v / kBitsPerBitmapBlock;
-    ++free_per_block_[b];
-    ++total_free_;
-    mark_dirty(b);
-  }
-}
-
 BitmapMetafile::FreeDelta BitmapMetafile::clear_frees_batched(
     std::span<const Vbn> frees) {
   FreeDelta d;
@@ -92,7 +82,8 @@ BitmapMetafile::FreeDelta BitmapMetafile::clear_frees_batched(
   std::vector<std::uint32_t> freed(b_hi - b_lo + 1, 0);
   // A duplicate free finds its bit already clear and aborts here.
   for (const Vbn v : frees) {
-    clear_unaccounted(v);
+    WAFL_ASSERT_MSG(bits_.test(v), "freeing a free block");
+    bits_.clear(v);
     ++freed[v / kBitsPerBitmapBlock - b_lo];
   }
   for (std::uint64_t i = 0; i < freed.size(); ++i) {

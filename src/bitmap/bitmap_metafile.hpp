@@ -52,26 +52,6 @@ class BitmapMetafile {
   /// Marks VBN free.  Asserts the bit was allocated.
   void set_free(Vbn v);
 
-  /// Clears the bit for `v` WITHOUT updating the free-count summary or
-  /// the dirty set; the caller must pass the same VBNs to account_frees()
-  /// before the next query or flush.  The CP boundary does not call this
-  /// pair: it uses clear_frees_batched()/apply_free_deltas().  The pair is
-  /// the per-bit reference path the batched fuzz test compares against.
-  /// Same word-disjointness contract as the batched path: bit clears for
-  /// VBNs in disjoint 64-bit words may run concurrently while the shared
-  /// summary stays serial.  Asserts the bit was allocated.
-  void clear_unaccounted(Vbn v) {
-    WAFL_ASSERT_MSG(bits_.test(v), "freeing a free block");
-    bits_.clear(v);
-  }
-
-  /// Serial companion to clear_unaccounted(): folds already-cleared VBNs
-  /// into the per-block free counts, the total, and the dirty set.  The
-  /// per-bit reference path; the CP boundary never calls it, and
-  /// BatchedFreesMatchPerBitFuzz holds the batched pair below equal to
-  /// it.
-  void account_frees(std::span<const Vbn> freed);
-
   /// Marks the VBNs of `mask` in bitmap word `word` (VBNs 64*word + i
   /// for each set bit i) allocated: one bit update, one summary update
   /// and one dirty mark for the whole word.  Equivalent to set_allocated()
@@ -79,7 +59,7 @@ class BitmapMetafile {
   /// every bit was free.
   void set_allocated_word(std::uint64_t word, std::uint64_t mask);
 
-  /// Allocation mirror of clear_unaccounted(), a word at a time: sets the
+  /// Allocation mirror of clear_frees_batched(), a word at a time: sets the
   /// bits of `mask` in `word` WITHOUT updating the free-count summary or
   /// the dirty set; the caller must fold the same counts in via
   /// apply_alloc_deltas() before the next summary query or flush.  Same
@@ -113,11 +93,12 @@ class BitmapMetafile {
     std::vector<std::pair<std::uint64_t, std::uint32_t>> per_block;
   };
 
-  /// Batched companion to clear_unaccounted(): clears the bits of `frees`
-  /// (any order, no duplicates, all currently set — a free of a free
-  /// block, duplicates included, aborts on "freeing a free block") and
-  /// returns the per-block freed counts (ascending by block) for
-  /// apply_free_deltas().  Each free clears its bit and bumps a counter
+  /// Clears the bits of `frees` (any order, no duplicates, all currently
+  /// set — a free of a free block, duplicates included, aborts on
+  /// "freeing a free block") WITHOUT updating the free-count summary or
+  /// the dirty set, and returns the per-block freed counts (ascending by
+  /// block) for apply_free_deltas(), which the caller must apply before
+  /// the next summary query or flush.  Each free clears its bit and bumps a counter
   /// for its metafile block; the counters span only the blocks between
   /// the lowest and highest free, so the cost is O(frees + blocks
   /// spanned), not O(bitmap words spanned), and a CP's deferral-order
@@ -129,8 +110,9 @@ class BitmapMetafile {
   FreeDelta clear_frees_batched(std::span<const Vbn> frees);
 
   /// Serial companion: folds a clear_frees_batched() delta into the
-  /// per-block free counts, the total, and the dirty set.  Equivalent to
-  /// account_frees() over the same VBNs.
+  /// per-block free counts, the total, and the dirty set.  The pair lands
+  /// where set_free() on each VBN lands (BatchedFreesMatchPerBitFuzz
+  /// holds it to a per-bit reference).
   void apply_free_deltas(const FreeDelta& d);
 
   /// Free (clear) bits in [begin, end); interior whole metafile blocks

@@ -7,11 +7,14 @@
 //   - virtual VBNs address blocks within one FlexVol volume.
 // Both spaces are plain 64-bit indices; the aliases below exist to keep
 // signatures self-describing.  Identifiers that index small dense tables
-// (devices, RAID groups, allocation areas) are 32-bit.
+// (devices, RAID groups, allocation areas) are 32-bit, and so are the
+// entries of the per-block tables (PackedVbn).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+
+#include "util/assert.hpp"
 
 namespace wafl {
 
@@ -47,6 +50,31 @@ using SimTime = std::uint64_t;
 
 /// Sentinel for "no VBN".
 inline constexpr Vbn kInvalidVbn = std::numeric_limits<Vbn>::max();
+
+/// One entry of a per-block table (a FlexVol's block and container maps,
+/// a snapshot's block map, the aggregate's owner table): a Vbn, or an
+/// index derived from one, stored in 32 bits.  The tables convert at
+/// their accessors, so every API stays 64-bit.  The spaces they index are
+/// bounded so that every stored value fits below the sentinel: an
+/// aggregate holds fewer than 2^32-1 blocks, a volume fewer than 2^32-1
+/// vvbns, and all volumes of an aggregate at most 2^32-1 vvbns together.
+using PackedVbn = std::uint32_t;
+
+/// The entry that reads back as kInvalidVbn.
+inline constexpr PackedVbn kInvalidPackedVbn =
+    std::numeric_limits<PackedVbn>::max();
+
+/// A table entry as a Vbn; kInvalidPackedVbn reads kInvalidVbn.
+constexpr Vbn widen(PackedVbn p) noexcept {
+  return p == kInvalidPackedVbn ? kInvalidVbn : Vbn{p};
+}
+
+/// A Vbn as a table entry.  Asserts that it fits below the sentinel; an
+/// unmapped entry is written as kInvalidPackedVbn directly.
+inline PackedVbn narrow(Vbn v) {
+  WAFL_ASSERT_MSG(v < kInvalidPackedVbn, "VBN does not fit a 32-bit entry");
+  return static_cast<PackedVbn>(v);
+}
 
 /// Sentinel for "no AA".
 inline constexpr AaId kInvalidAaId = std::numeric_limits<AaId>::max();

@@ -1,5 +1,8 @@
 #include "wafl/aggregate.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "fault/crash_point.hpp"
 #include "util/thread_pool.hpp"
 
@@ -10,11 +13,22 @@ std::uint64_t bitmap_blocks_for(std::uint64_t nbits) {
   return (nbits + kBitsPerBitmapBlock - 1) / kBitsPerBitmapBlock;
 }
 
+std::uint64_t group_blocks(const RaidGroupConfig& rgc) {
+  return static_cast<std::uint64_t>(rgc.device_blocks) * rgc.data_devices;
+}
+
+/// Asserts the owner table's bound: every pvbn fits a 32-bit entry.
+void check_aggregate_blocks(std::uint64_t total) {
+  WAFL_ASSERT_MSG(total < kInvalidPackedVbn,
+                  "aggregate exceeds the 32-bit pvbn space");
+}
+
+/// The configured aggregate's size, checked before anything is sized
+/// from it.
 std::uint64_t sum_data_blocks(const AggregateConfig& cfg) {
   std::uint64_t total = 0;
-  for (const auto& rg : cfg.raid_groups) {
-    total += rg.device_blocks * rg.data_devices;
-  }
+  for (const auto& rg : cfg.raid_groups) total += group_blocks(rg);
+  check_aggregate_blocks(total);
   return total;
 }
 
@@ -36,7 +50,7 @@ Aggregate::Aggregate(const AggregateConfig& cfg, std::uint64_t rng_seed,
   Vbn base = 0;
   for (const RaidGroupConfig& rgc : cfg.raid_groups) {
     walloc_.add_group(rgc, base);
-    base += static_cast<Vbn>(rgc.device_blocks) * rgc.data_devices;
+    base += group_blocks(rgc);
   }
 }
 
@@ -46,8 +60,9 @@ RaidGroupId Aggregate::add_raid_group(const RaidGroupConfig& rgc) {
                   "add_raid_group during a CP");
   WAFL_ASSERT_MSG(walloc_.windows_idle(),
                   "add_raid_group with open tetris windows");
+  check_aggregate_blocks(total_blocks_ + group_blocks(rgc));
   const Vbn base = total_blocks_;
-  total_blocks_ += static_cast<Vbn>(rgc.device_blocks) * rgc.data_devices;
+  total_blocks_ += group_blocks(rgc);
   activemap_.grow(total_blocks_);
   meta_store_.grow(bitmap_blocks_for(total_blocks_));
   topaa_store_.grow((walloc_.group_count() + 1ull) *
@@ -71,9 +86,15 @@ std::uint64_t Aggregate::freeze_cp_generation() {
 }
 
 FlexVol& Aggregate::add_volume(const FlexVolConfig& vcfg) {
+  WAFL_ASSERT_MSG(vcfg.vvbn_blocks < kInvalidPackedVbn,
+                  "volume exceeds the 32-bit vvbn space");
+  const std::uint64_t end = vol_base_.back() + vcfg.vvbn_blocks;
+  WAFL_ASSERT_MSG(end <= kInvalidPackedVbn,
+                  "volumes exceed the 32-bit owner-index space");
   const auto id = static_cast<VolumeId>(volumes_.size());
   volumes_.push_back(
       std::make_unique<FlexVol>(id, vcfg, rng_.next(), runtime_));
+  vol_base_.push_back(end);
   return *volumes_.back();
 }
 
@@ -109,8 +130,9 @@ void Aggregate::reset_wear_windows() {
 
 void Aggregate::set_owner(Vbn pvbn, VolumeId vol, Vbn vvbn) {
   WAFL_ASSERT(pvbn < total_blocks_);
-  WAFL_ASSERT(vvbn < (1ull << 48));
-  owner_[pvbn] = (static_cast<std::uint64_t>(vol) << 48) | vvbn;
+  WAFL_ASSERT(vol < volumes_.size());
+  WAFL_ASSERT(vvbn < vol_base_[vol + 1] - vol_base_[vol]);
+  owner_[pvbn] = narrow(vol_base_[vol] + vvbn);
 }
 
 void Aggregate::release_pvbns(std::span<const Vbn> pvbns) {
@@ -124,21 +146,36 @@ void Aggregate::seed_rg_occupancy(RaidGroupId rg, double fraction,
                                   Rng& rng) {
   // Seeded blocks belong to no volume, but a free block's owner entry may
   // still name the volume that last held it (release_pvbns leaves it).
-  // Reset the entries seeding may claim: every free block of the group.
+  // Reset the entries of the blocks seeding claims: the bits it sets,
+  // found a word at a time against the group's words from before.  The
+  // group spans whole words (WriteAllocator::add_group).
   const RgAllocator& group = walloc_.group(rg);
-  for (Vbn v = group.base(); v < group.end(); ++v) {
-    if (!activemap_.is_allocated(v)) owner_[v] = kNoOwner;
+  const Bitmap& bits = activemap_.metafile().bits();
+  const std::uint64_t first = group.base() / 64;
+  std::vector<std::uint64_t> before(group.end() / 64 - first);
+  for (std::uint64_t i = 0; i < before.size(); ++i) {
+    before[i] = bits.word(first + i);
   }
   walloc_.seed_occupancy(rg, fraction, rng);
+  for (std::uint64_t i = 0; i < before.size(); ++i) {
+    for (std::uint64_t claimed = bits.word(first + i) & ~before[i];
+         claimed != 0; claimed &= claimed - 1) {
+      owner_[(first + i) * 64 +
+             static_cast<std::uint64_t>(std::countr_zero(claimed))] = kNoOwner;
+    }
+  }
 }
 
 std::optional<Aggregate::BlockOwner> Aggregate::owner_of(Vbn pvbn) const {
   WAFL_ASSERT(pvbn < total_blocks_);
   if (!activemap_.is_allocated(pvbn)) return std::nullopt;
-  const std::uint64_t packed = owner_[pvbn];
-  if (packed == kNoOwner) return std::nullopt;
-  return BlockOwner{static_cast<VolumeId>(packed >> 48),
-                    packed & ((1ull << 48) - 1)};
+  const PackedVbn index = owner_[pvbn];
+  if (index == kNoOwner) return std::nullopt;
+  // The volume whose [base, next base) range holds the index.
+  const auto next =
+      std::upper_bound(vol_base_.begin(), vol_base_.end(), Vbn{index});
+  const auto vol = static_cast<VolumeId>(next - vol_base_.begin() - 1);
+  return BlockOwner{vol, index - vol_base_[vol]};
 }
 
 }  // namespace wafl

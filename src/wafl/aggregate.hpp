@@ -5,7 +5,7 @@
 // only what is genuinely aggregate-wide:
 //
 //  - the volumes and the physical-block ownership table (the container-map
-//    back-pointer the segment cleaner needs);
+//    back-pointer the segment cleaner needs), one 32-bit entry per block;
 //  - the activemap and its bitmap-metafile store;
 //  - the TopAA store (per-group slots, kept separate from the bitmap area
 //    so RAID-group growth can extend the bitmaps in place);
@@ -58,6 +58,9 @@ class Aggregate {
   const Runtime& runtime() const noexcept { return runtime_; }
 
   // --- Volumes ---------------------------------------------------------------
+  /// Adds a volume.  Asserts, before building it, that its vvbn space is
+  /// below 2^32-1 and that all volumes' spaces together stay within
+  /// 2^32-1 (the owner table's 32-bit index space).
   FlexVol& add_volume(const FlexVolConfig& cfg);
   FlexVol& volume(VolumeId id) { return *volumes_.at(id); }
   const FlexVol& volume(VolumeId id) const { return *volumes_.at(id); }
@@ -122,8 +125,9 @@ class Aggregate {
 
   /// Adds a RAID group (or object-store pool) to a live aggregate —
   /// §3.1's "RAID group creation and growth", how §4.2's imbalanced-age
-  /// configurations arise.  Must be called between CPs.  Returns the new
-  /// group's id.
+  /// configurations arise.  Must be called between CPs.  Asserts, before
+  /// growing anything, that the aggregate stays below 2^32-1 blocks.
+  /// Returns the new group's id.
   RaidGroupId add_raid_group(const RaidGroupConfig& rgc);
 
   /// Mean write amplification across SSD/SMR data devices, 1.0 otherwise.
@@ -253,10 +257,16 @@ class Aggregate {
   Activemap activemap_;
   WriteAllocator walloc_;
 
-  /// pvbn -> packed owner (vol in the top 16 bits, vvbn below;
-  /// kNoOwner when unowned).  Meaningful only for allocated pvbns.
-  static constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
-  std::vector<std::uint64_t> owner_;
+  /// pvbn -> owner index: vol_base_[vol] + vvbn, a position in the
+  /// volumes' concatenated vvbn spaces (kNoOwner when unowned).
+  /// Meaningful only for allocated pvbns.  Four bytes per block: the
+  /// aggregate holds fewer than 2^32-1 blocks and the concatenated space
+  /// is at most 2^32-1 vvbns, so no index reaches kNoOwner.
+  static constexpr PackedVbn kNoOwner = kInvalidPackedVbn;
+  std::vector<PackedVbn> owner_;
+  /// vol_base_[v] is where volume v's vvbns start in the concatenated
+  /// space; the last entry is where the next volume's would start.
+  std::vector<std::uint64_t> vol_base_{0};
 
   std::vector<std::unique_ptr<FlexVol>> volumes_;
 };

@@ -13,13 +13,23 @@ std::uint64_t bitmap_blocks_for(std::uint64_t nbits) {
   return (nbits + kBitsPerBitmapBlock - 1) / kBitsPerBitmapBlock;
 }
 
+/// `cfg`, after checking it before anything is sized from it: the maps
+/// hold 32-bit entries, so every vvbn must fit below the sentinel.
+const FlexVolConfig& checked(const FlexVolConfig& cfg) {
+  WAFL_ASSERT(cfg.vvbn_blocks > 0);
+  WAFL_ASSERT_MSG(cfg.vvbn_blocks < kInvalidPackedVbn,
+                  "volume exceeds the 32-bit vvbn space");
+  WAFL_ASSERT(cfg.file_blocks <= cfg.vvbn_blocks);
+  return cfg;
+}
+
 }  // namespace
 
 FlexVol::FlexVol(VolumeId id, const FlexVolConfig& cfg, std::uint64_t rng_seed,
                  const Runtime& rt)
     : rt_(&rt),
       id_(id),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       store_(bitmap_blocks_for(cfg.vvbn_blocks) +
              TopAaFile::kRaidAgnosticBlocks),
       topaa_base_(bitmap_blocks_for(cfg.vvbn_blocks)),
@@ -27,12 +37,10 @@ FlexVol::FlexVol(VolumeId id, const FlexVolConfig& cfg, std::uint64_t rng_seed,
       layout_(AaLayout::flat(0, cfg.vvbn_blocks, cfg.aa_blocks)),
       board_(layout_),
       selector_(layout_, board_, AaCacheKind::kHbps, cfg.policy, rng_seed),
-      block_map_(cfg.file_blocks, kInvalidVbn),
-      container_map_(cfg.vvbn_blocks, kInvalidVbn),
+      block_map_(cfg.file_blocks, kInvalidPackedVbn),
+      container_map_(cfg.vvbn_blocks, kInvalidPackedVbn),
       snap_held_(cfg.vvbn_blocks),
       delayed_(cfg.vvbn_blocks, cfg.aa_blocks) {
-  WAFL_ASSERT(cfg.vvbn_blocks > 0);
-  WAFL_ASSERT(cfg.file_blocks <= cfg.vvbn_blocks);
   resolve_metrics();
 }
 
@@ -132,8 +140,8 @@ void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
       if (i + kRemapLookahead < n) {
         const std::uint64_t l = dirty[i + kRemapLookahead].logical;
         WAFL_ASSERT(l < cfg_.file_blocks);
-        const Vbn old_vvbn = block_map_[l];
-        if (old_vvbn != kInvalidVbn) {
+        const PackedVbn old_vvbn = block_map_[l];
+        if (old_vvbn != kInvalidPackedVbn) {
           __builtin_prefetch(&container_map_[old_vvbn], 1);
         }
       }
@@ -147,28 +155,28 @@ void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
 
 Vbn FlexVol::remap(std::uint64_t l, Vbn vvbn, Vbn pvbn) {
   WAFL_ASSERT(l < cfg_.file_blocks);
-  WAFL_ASSERT(container_map_[vvbn] == kInvalidVbn);
+  WAFL_ASSERT(container_map_[vvbn] == kInvalidPackedVbn);
   Vbn freed_pvbn = kInvalidVbn;
-  const Vbn old_vvbn = block_map_[l];
-  if (old_vvbn != kInvalidVbn && !snap_held_.test(old_vvbn)) {
-    freed_pvbn = container_map_[old_vvbn];
-    container_map_[old_vvbn] = kInvalidVbn;
+  const PackedVbn old_vvbn = block_map_[l];
+  if (old_vvbn != kInvalidPackedVbn && !snap_held_.test(old_vvbn)) {
+    freed_pvbn = widen(container_map_[old_vvbn]);
+    container_map_[old_vvbn] = kInvalidPackedVbn;
     activemap_.defer_free(old_vvbn);
     board_.note_free(old_vvbn);
   }
   // A snapshot-held old block stays allocated and mapped; it is reclaimed
   // (as a delayed free) when its last holding snapshot is deleted.
-  block_map_[l] = vvbn;
-  container_map_[vvbn] = pvbn;
+  block_map_[l] = narrow(vvbn);
+  container_map_[vvbn] = narrow(pvbn);
   return freed_pvbn;
 }
 
 Vbn FlexVol::relocate(Vbn vvbn, Vbn new_pvbn) {
   WAFL_ASSERT(vvbn < cfg_.vvbn_blocks);
-  WAFL_ASSERT_MSG(container_map_[vvbn] != kInvalidVbn,
+  WAFL_ASSERT_MSG(container_map_[vvbn] != kInvalidPackedVbn,
                   "relocating an unmapped vvbn");
   const Vbn old_pvbn = container_map_[vvbn];
-  container_map_[vvbn] = new_pvbn;
+  container_map_[vvbn] = narrow(new_pvbn);
   return old_pvbn;
 }
 
@@ -176,8 +184,8 @@ SnapId FlexVol::create_snapshot() {
   Snapshot snap;
   snap.id = next_snap_id_++;
   snap.block_map = block_map_;
-  for (const Vbn v : snap.block_map) {
-    if (v != kInvalidVbn) {
+  for (const PackedVbn v : snap.block_map) {
+    if (v != kInvalidPackedVbn) {
       snap_held_.set(v);
     }
   }
@@ -188,7 +196,7 @@ SnapId FlexVol::create_snapshot() {
 Vbn FlexVol::snapshot_vvbn_of(SnapId id, std::uint64_t l) const {
   WAFL_ASSERT(l < cfg_.file_blocks);
   for (const Snapshot& snap : snapshots_) {
-    if (snap.id == id) return snap.block_map[l];
+    if (snap.id == id) return widen(snap.block_map[l]);
   }
   WAFL_ASSERT_MSG(false, "no such snapshot");
   return kInvalidVbn;
@@ -205,21 +213,21 @@ void FlexVol::delete_snapshot(SnapId id) {
   // Still-held = union of the remaining snapshots' references.
   Bitmap still_held(cfg_.vvbn_blocks);
   for (const Snapshot& snap : snapshots_) {
-    for (const Vbn v : snap.block_map) {
-      if (v != kInvalidVbn) still_held.set(v);
+    for (const PackedVbn v : snap.block_map) {
+      if (v != kInvalidPackedVbn) still_held.set(v);
     }
   }
   // Active = the live file's current references.
   Bitmap active(cfg_.vvbn_blocks);
-  for (const Vbn v : block_map_) {
-    if (v != kInvalidVbn) active.set(v);
+  for (const PackedVbn v : block_map_) {
+    if (v != kInvalidPackedVbn) active.set(v);
   }
 
   // Blocks only the deleted snapshot referenced become delayed frees —
   // logged per region and reclaimed richest-region-first (§3.3.2's
   // delayed-free use of the HBPS), not freed in one giant burst.
-  for (const Vbn v : deleted.block_map) {
-    if (v == kInvalidVbn || !snap_held_.test(v)) continue;
+  for (const PackedVbn v : deleted.block_map) {
+    if (v == kInvalidPackedVbn || !snap_held_.test(v)) continue;
     if (still_held.test(v)) continue;
     snap_held_.clear(v);
     if (!active.test(v)) {
@@ -245,9 +253,9 @@ std::uint64_t FlexVol::process_delayed_frees(std::size_t max_regions,
     const auto drain = delayed_.drain_richest();
     if (!drain.has_value()) break;
     for (const Vbn vvbn : drain->vbns) {
-      const Vbn pvbn = container_map_[vvbn];
-      WAFL_ASSERT(pvbn != kInvalidVbn);
-      container_map_[vvbn] = kInvalidVbn;
+      const PackedVbn pvbn = container_map_[vvbn];
+      WAFL_ASSERT(pvbn != kInvalidPackedVbn);
+      container_map_[vvbn] = kInvalidPackedVbn;
       activemap_.defer_free(vvbn);
       board_.note_free(vvbn);
       freed_pvbns.push_back(pvbn);

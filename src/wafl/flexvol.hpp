@@ -14,6 +14,10 @@
 // The volume also exposes a single flat file ("the LUN"): logical block l
 // maps to its current (vvbn, pvbn) pair, re-mapped on every overwrite —
 // WAFL's copy-on-write behaviour reduced to the block-map essentials.
+// The block map, the container map and each snapshot's block map hold
+// 32-bit entries (PackedVbn, util/types.hpp), so a volume holds fewer than
+// 2^32-1 vvbns (asserted at construction) and its pvbns come from an
+// aggregate of fewer than 2^32-1 blocks.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,7 @@ struct DirtyBlock {
 };
 
 struct FlexVolConfig {
-  /// Virtual VBN space size in blocks.
+  /// Virtual VBN space size in blocks; below 2^32-1 (PackedVbn).
   std::uint64_t vvbn_blocks = 0;
   /// Logical file (LUN) size in blocks; must be <= vvbn_blocks.
   std::uint64_t file_blocks = 0;
@@ -66,21 +70,21 @@ class FlexVol {
   // --- Logical file view ----------------------------------------------------
   bool is_mapped(std::uint64_t l) const {
     WAFL_ASSERT(l < cfg_.file_blocks);
-    return block_map_[l] != kInvalidVbn;
+    return block_map_[l] != kInvalidPackedVbn;
   }
   Vbn vvbn_of(std::uint64_t l) const {
     WAFL_ASSERT(l < cfg_.file_blocks);
-    return block_map_[l];
+    return widen(block_map_[l]);
   }
   Vbn pvbn_of(std::uint64_t l) const {
     const Vbn v = vvbn_of(l);
-    return v == kInvalidVbn ? kInvalidVbn : container_map_[v];
+    return v == kInvalidVbn ? kInvalidVbn : widen(container_map_[v]);
   }
   /// Container-map lookup: physical location of a virtual block
   /// (kInvalidVbn if unmapped).
   Vbn pvbn_of_vvbn(Vbn vvbn) const {
     WAFL_ASSERT(vvbn < cfg_.vvbn_blocks);
-    return container_map_[vvbn];
+    return widen(container_map_[vvbn]);
   }
 
   // --- CP-side allocation ---------------------------------------------------
@@ -222,8 +226,8 @@ class FlexVol {
   /// stream.
   AaSelector selector_;
 
-  std::vector<Vbn> block_map_;      // logical -> vvbn
-  std::vector<Vbn> container_map_;  // vvbn -> pvbn
+  std::vector<PackedVbn> block_map_;      // logical -> vvbn
+  std::vector<PackedVbn> container_map_;  // vvbn -> pvbn
   /// cp_remap()'s pipeline distance, in blocks.  Measured on the
   /// benchmark's ssd_overwrite (4-core x86 host, block and container maps
   /// of 4-5 MiB each): the volume slice costs 3.5 ms per 24k-block CP at
@@ -234,7 +238,7 @@ class FlexVol {
 
   struct Snapshot {
     SnapId id;
-    std::vector<Vbn> block_map;  // logical -> vvbn at freeze time
+    std::vector<PackedVbn> block_map;  // logical -> vvbn at freeze time
   };
   std::vector<Snapshot> snapshots_;
   SnapId next_snap_id_ = 1;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,63 @@ namespace wafl {
 namespace {
 
 constexpr std::uint64_t kTwoBlocks = 2 * kBitsPerBitmapBlock;
+
+/// The per-bit reference for the CP boundary's batched free path: a copy
+/// of a metafile's bits, per-block free counts, free total and dirty set
+/// that frees one VBN at a time in the boundary's two phases —
+/// clear_unaccounted() clears bits only, then account_frees() folds the
+/// same VBNs into the counts and the dirty set.
+class PerBitReference {
+ public:
+  explicit PerBitReference(const BitmapMetafile& mf)
+      : bits_(mf.size_bits()),
+        total_free_(mf.total_free()),
+        dirty_(mf.dirty_list().begin(), mf.dirty_list().end()) {
+    for (Vbn v = 0; v < mf.size_bits(); ++v) bits_[v] = mf.test(v);
+    for (std::uint64_t b = 0; b < mf.metafile_blocks(); ++b) {
+      free_per_block_.push_back(mf.block_free_count(b));
+    }
+  }
+
+  void clear_unaccounted(Vbn v) {
+    ASSERT_TRUE(bits_[v]) << "freeing a free block " << v;
+    bits_[v] = false;
+  }
+
+  void account_frees(std::span<const Vbn> freed) {
+    for (const Vbn v : freed) {
+      ASSERT_FALSE(bits_[v]) << "accounting an uncleared free " << v;
+      const std::uint64_t b = v / kBitsPerBitmapBlock;
+      ++free_per_block_[b];
+      ++total_free_;
+      dirty_.insert(b);
+    }
+  }
+
+  std::uint64_t total_free() const { return total_free_; }
+  std::uint64_t dirty_blocks() const { return dirty_.size(); }
+
+  /// Asserts `mf` holds exactly this state; the dirty sets are compared
+  /// as sets, since only the batched path promises an order.
+  void expect_matches(const BitmapMetafile& mf) const {
+    ASSERT_EQ(mf.total_free(), total_free_);
+    ASSERT_EQ(std::set<std::uint64_t>(mf.dirty_list().begin(),
+                                      mf.dirty_list().end()),
+              dirty_);
+    for (std::uint64_t b = 0; b < free_per_block_.size(); ++b) {
+      ASSERT_EQ(mf.block_free_count(b), free_per_block_[b]) << "block " << b;
+    }
+    for (Vbn v = 0; v < bits_.size(); ++v) {
+      ASSERT_EQ(mf.test(v), bits_[v]) << "bit " << v;
+    }
+  }
+
+ private:
+  std::vector<bool> bits_;
+  std::vector<std::uint32_t> free_per_block_;
+  std::uint64_t total_free_;
+  std::set<std::uint64_t> dirty_;
+};
 
 TEST(BitmapMetafile, InitialSummaries) {
   BitmapMetafile mf(kTwoBlocks + 100);
@@ -210,38 +269,25 @@ TEST(BitmapMetafile, StoreBaseOffset) {
 }
 
 TEST(BitmapMetafile, SplitFreeMatchesSetFree) {
-  // The CP boundary's two-phase protocol — clear_unaccounted (bits only,
-  // group-parallel) then account_frees (summary + dirty, serial) — must
-  // land in exactly the state set_free produces.
+  // The reference's two phases — clear_unaccounted (bits only) then
+  // account_frees (summary + dirty) — must land in exactly the state
+  // set_free produces, or it is no reference for the batched path.
   const std::uint64_t n = 2 * kBitsPerBitmapBlock;
-  BitmapMetafile split(n);
   BitmapMetafile fused(n);
   std::vector<Vbn> victims;
   for (Vbn v = 0; v < n; v += 97) victims.push_back(v);
-  for (const Vbn v : victims) {
-    split.set_allocated(v);
-    fused.set_allocated(v);
-  }
-  split.flush();
+  for (const Vbn v : victims) fused.set_allocated(v);
   fused.flush();
+  PerBitReference split(fused);
 
   for (const Vbn v : victims) split.clear_unaccounted(v);
-  // Bits cleared, but nothing accounted yet: summaries and dirty state
-  // still describe the pre-free world.
+  // Bits cleared, but nothing accounted yet.
   EXPECT_EQ(split.total_free(), n - victims.size());
   EXPECT_EQ(split.dirty_blocks(), 0u);
   split.account_frees(victims);
 
   for (const Vbn v : victims) fused.set_free(v);
-
-  EXPECT_EQ(split.total_free(), fused.total_free());
-  EXPECT_EQ(split.dirty_blocks(), fused.dirty_blocks());
-  for (std::uint64_t b = 0; b < split.metafile_blocks(); ++b) {
-    EXPECT_EQ(split.block_free_count(b), fused.block_free_count(b));
-  }
-  for (Vbn v = 0; v < n; ++v) {
-    ASSERT_EQ(split.test(v), fused.test(v)) << "bit " << v;
-  }
+  split.expect_matches(fused);
 }
 
 TEST(BitmapMetafile, BatchedFreesMatchPerBitFuzz) {
@@ -253,17 +299,15 @@ TEST(BitmapMetafile, BatchedFreesMatchPerBitFuzz) {
   for (int round = 0; round < 20; ++round) {
     const std::uint64_t n = kBitsPerBitmapBlock + rng.below(kTwoBlocks);
     BitmapMetafile batched(n);
-    BitmapMetafile per_bit(n);
     std::vector<Vbn> victims;
     for (Vbn v = 0; v < n; ++v) {
       if (rng.chance(0.2)) {
         batched.set_allocated(v);
-        per_bit.set_allocated(v);
         if (rng.chance(0.5)) victims.push_back(v);
       }
     }
     batched.flush();
-    per_bit.flush();
+    PerBitReference per_bit(batched);
     // Shuffle: deferral order is allocation-history order, not VBN order.
     for (std::size_t i = victims.size(); i > 1; --i) {
       std::swap(victims[i - 1], victims[rng.below(i)]);
@@ -276,16 +320,8 @@ TEST(BitmapMetafile, BatchedFreesMatchPerBitFuzz) {
 
     for (const Vbn v : victims) per_bit.clear_unaccounted(v);
     per_bit.account_frees(victims);
-
-    ASSERT_EQ(batched.total_free(), per_bit.total_free()) << "round " << round;
-    ASSERT_EQ(batched.dirty_blocks(), per_bit.dirty_blocks());
-    for (std::uint64_t b = 0; b < batched.metafile_blocks(); ++b) {
-      ASSERT_EQ(batched.block_free_count(b), per_bit.block_free_count(b))
-          << "round " << round << " block " << b;
-    }
-    for (Vbn v = 0; v < n; ++v) {
-      ASSERT_EQ(batched.test(v), per_bit.test(v)) << "bit " << v;
-    }
+    ASSERT_NO_FATAL_FAILURE(per_bit.expect_matches(batched))
+        << "round " << round;
     // Delta blocks come out ascending (the merge relies on it for
     // deterministic dirty order).
     for (std::size_t i = 1; i < d.per_block.size(); ++i) {
@@ -422,16 +458,10 @@ TEST(BitmapMetafileDeathTest, FreeingFreeBlockAsserts) {
   EXPECT_DEATH(mf.set_free(1), "freeing a free block");
 }
 
-TEST(BitmapMetafileDeathTest, ClearUnaccountedOnFreeBlockAsserts) {
+TEST(BitmapMetafileDeathTest, BatchedFreeOfFreeBlockAsserts) {
   BitmapMetafile mf(100);
-  EXPECT_DEATH(mf.clear_unaccounted(1), "freeing a free block");
-}
-
-TEST(BitmapMetafileDeathTest, AccountingUnclearedFreeAsserts) {
-  BitmapMetafile mf(100);
-  mf.set_allocated(1);
   const std::vector<Vbn> frees = {1};
-  EXPECT_DEATH(mf.account_frees(frees), "accounting an uncleared free");
+  EXPECT_DEATH(mf.clear_frees_batched(frees), "freeing a free block");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "util/thread_pool.hpp"
@@ -459,6 +460,173 @@ TEST(Aggregate, OwnerOfIgnoresFreedBlocks) {
     ASSERT_TRUE(agg.activemap().is_allocated(p));
     ASSERT_FALSE(agg.owner_of(p).has_value()) << "pvbn " << p;
   }
+}
+
+TEST(Aggregate, OwnerIndexRoundTripsAcrossVolumes) {
+  // Owner entries index the volumes' concatenated vvbn spaces.  Volumes
+  // of unequal sizes put each boundary at a different offset; the first
+  // and last vvbn of every volume must decode back to that volume.
+  Aggregate agg(two_rg_hdd(), 5);
+  for (const std::uint64_t n : {3000u, 1024u, 12'345u}) {
+    FlexVolConfig vcfg;
+    vcfg.vvbn_blocks = n;
+    vcfg.file_blocks = 64;
+    vcfg.aa_blocks = 1024;
+    agg.add_volume(vcfg);
+  }
+  struct Owned {
+    Vbn pvbn;
+    VolumeId vol;
+    Vbn vvbn;
+  };
+  std::vector<Owned> owned;
+  const auto own_ends = [&](VolumeId vol) {
+    agg.begin_cp();
+    CpStats stats;
+    std::vector<Vbn> pvbns;
+    ASSERT_TRUE(agg.allocate_pvbns(2, pvbns, stats));
+    agg.finish_cp(stats);
+    const Vbn last = agg.volume(vol).config().vvbn_blocks - 1;
+    agg.set_owner(pvbns[0], vol, 0);
+    agg.set_owner(pvbns[1], vol, last);
+    owned.push_back({pvbns[0], vol, 0});
+    owned.push_back({pvbns[1], vol, last});
+  };
+  const auto expect_owned = [&] {
+    for (const Owned& o : owned) {
+      const auto owner = agg.owner_of(o.pvbn);
+      ASSERT_TRUE(owner.has_value()) << "pvbn " << o.pvbn;
+      EXPECT_EQ(owner->vol, o.vol) << "pvbn " << o.pvbn;
+      EXPECT_EQ(owner->vvbn, o.vvbn) << "pvbn " << o.pvbn;
+    }
+  };
+  for (VolumeId v = 0; v < agg.volume_count(); ++v) own_ends(v);
+  expect_owned();
+
+  // Some CPs through every volume, then a volume added after them.
+  for (int cp = 0; cp < 3; ++cp) {
+    std::vector<DirtyBlock> dirty;
+    for (VolumeId v = 0; v < agg.volume_count(); ++v) {
+      for (std::uint64_t l = 0; l < 64; ++l) dirty.push_back({v, l});
+    }
+    ConsistencyPoint::run(agg, dirty);
+  }
+  for (VolumeId v = 0; v < agg.volume_count(); ++v) {
+    for (std::uint64_t l = 0; l < 64; ++l) {
+      const auto owner = agg.owner_of(agg.volume(v).pvbn_of(l));
+      ASSERT_TRUE(owner.has_value());
+      EXPECT_EQ(owner->vol, v);
+      EXPECT_EQ(owner->vvbn, agg.volume(v).vvbn_of(l));
+    }
+  }
+  FlexVolConfig late;
+  late.vvbn_blocks = 777;
+  late.file_blocks = 16;
+  late.aa_blocks = 1024;
+  agg.add_volume(late);
+  own_ends(3);
+  expect_owned();
+
+  // A freed pvbn reads nullopt, and still does once seeding claims it;
+  // seeding leaves the entries of blocks it does not claim alone.
+  const Vbn freed = owned.front().pvbn;
+  owned.erase(owned.begin());
+  agg.release_pvbns(std::span(&freed, 1));
+  CpStats stats;
+  agg.finish_cp(stats);
+  EXPECT_FALSE(agg.owner_of(freed).has_value());
+  agg.scan_rebuild();  // a remount: seeding needs no AA held open
+  Rng rng(3);
+  agg.seed_rg_occupancy(freed < agg.rg_base(1) ? 0 : 1, 1.0, rng);
+  ASSERT_TRUE(agg.activemap().is_allocated(freed));
+  EXPECT_FALSE(agg.owner_of(freed).has_value());
+  expect_owned();
+}
+
+TEST(Aggregate, PooledSlicesShareOwnerCacheLines) {
+  // Each CP's volume slices run on pool workers, and each writes the
+  // owner entries of its own pvbns.  With many small slices, neighbouring
+  // volumes' pvbns are neighbours too, so several slices write 4-byte
+  // entries inside one 64-byte line.  The pooled run must match the
+  // serial one entry for entry (and, under TSan, without a race).
+  constexpr VolumeId kVols = 12;
+  const auto run = [&](ThreadPool* pool) {
+    Aggregate agg(two_rg_hdd(), 11, Runtime{}.with_pool(pool));
+    for (VolumeId v = 0; v < kVols; ++v) {
+      FlexVolConfig vcfg;
+      vcfg.vvbn_blocks = 4096;
+      vcfg.file_blocks = 64;
+      vcfg.aa_blocks = 1024;
+      agg.add_volume(vcfg);
+    }
+    for (std::uint64_t cp = 0; cp < 6; ++cp) {
+      std::vector<DirtyBlock> dirty;
+      for (VolumeId v = 0; v < kVols; ++v) {
+        for (std::uint64_t i = 0; i < 3 + (v + cp) % 5; ++i) {
+          dirty.push_back({v, (cp * 7 + i * 3 + v) % 64});
+        }
+      }
+      ConsistencyPoint::run(agg, dirty);
+    }
+    std::vector<std::pair<Vbn, Aggregate::BlockOwner>> owners;
+    for (Vbn p = 0; p < agg.total_blocks(); ++p) {
+      if (const auto owner = agg.owner_of(p)) owners.push_back({p, *owner});
+    }
+    return owners;
+  };
+  const auto serial = run(nullptr);
+  ThreadPool pool(4);
+  const auto pooled = run(&pool);
+  ASSERT_EQ(serial.size(), pooled.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i].first, pooled[i].first);
+    EXPECT_EQ(serial[i].second.vol, pooled[i].second.vol);
+    EXPECT_EQ(serial[i].second.vvbn, pooled[i].second.vvbn);
+  }
+  // The case exercises what it claims: some line of 16 entries holds the
+  // owners of at least three volumes.
+  std::map<Vbn, std::set<VolumeId>> line_vols;
+  for (const auto& [p, owner] : serial) line_vols[p / 16].insert(owner.vol);
+  std::size_t widest = 0;
+  for (const auto& [line, vols] : line_vols) {
+    widest = std::max(widest, vols.size());
+  }
+  EXPECT_GE(widest, 3u);
+}
+
+TEST(AggregateDeathTest, OversizedAggregateAbortsBeforeAllocating) {
+  // 3 x 2^31 blocks: far past the 32-bit pvbn space, and far past what
+  // the owner table could allocate here had the check come after it.
+  AggregateConfig cfg = two_rg_hdd();
+  cfg.raid_groups[0].device_blocks = std::uint64_t{1} << 31;
+  EXPECT_DEATH({ Aggregate agg(cfg, 1); }, "32-bit pvbn space");
+}
+
+TEST(AggregateDeathTest, OversizedRaidGroupAbortsBeforeGrowing) {
+  Aggregate agg(two_rg_hdd(), 1);
+  RaidGroupConfig rg = two_rg_hdd().raid_groups[0];
+  rg.device_blocks = std::uint64_t{1} << 31;
+  EXPECT_DEATH(agg.add_raid_group(rg), "32-bit pvbn space");
+}
+
+TEST(AggregateDeathTest, OversizedVolumeAbortsBeforeAllocating) {
+  Aggregate agg(two_rg_hdd(), 1);
+  FlexVolConfig vcfg;
+  vcfg.vvbn_blocks = kInvalidPackedVbn;
+  vcfg.file_blocks = 1;
+  EXPECT_DEATH(agg.add_volume(vcfg), "32-bit vvbn space");
+}
+
+TEST(AggregateDeathTest, VolumesPastTheOwnerIndexSpaceAbort) {
+  // Each volume alone fits; together they pass 2^32-1 vvbns.
+  Aggregate agg(two_rg_hdd(), 1);
+  FlexVolConfig vcfg;
+  vcfg.vvbn_blocks = 1024;
+  vcfg.file_blocks = 1;
+  vcfg.aa_blocks = 1024;
+  agg.add_volume(vcfg);
+  vcfg.vvbn_blocks = kInvalidPackedVbn - 1;
+  EXPECT_DEATH(agg.add_volume(vcfg), "32-bit owner-index space");
 }
 
 }  // namespace

@@ -372,5 +372,46 @@ TEST(FlexVol, VvbnRunsMatchPerBitAllocation) {
   }
 }
 
+TEST(FlexVol, MapEntriesRoundTripAtTheirBounds) {
+  // The maps hold 32-bit entries.  An unmapped entry must still read
+  // kInvalidVbn, and the volume's largest vvbn and the largest pvbn an
+  // entry holds (one below the sentinel) must read back exactly.
+  const FlexVolConfig cfg = small_vol();
+  FlexVol vol(0, cfg, 1);
+  const std::uint64_t l = cfg.file_blocks - 1;
+  const Vbn last_vvbn = cfg.vvbn_blocks - 1;
+  const Vbn top_pvbn = kInvalidPackedVbn - 1;
+  EXPECT_EQ(vol.vvbn_of(l), kInvalidVbn);
+  EXPECT_EQ(vol.pvbn_of(l), kInvalidVbn);
+  EXPECT_EQ(vol.pvbn_of_vvbn(last_vvbn), kInvalidVbn);
+  const SnapId before = vol.create_snapshot();
+  EXPECT_EQ(vol.snapshot_vvbn_of(before, l), kInvalidVbn);
+
+  EXPECT_EQ(vol.remap(l, last_vvbn, top_pvbn), kInvalidVbn);
+  EXPECT_EQ(vol.vvbn_of(l), last_vvbn);
+  EXPECT_EQ(vol.pvbn_of(l), top_pvbn);
+  EXPECT_EQ(vol.pvbn_of_vvbn(last_vvbn), top_pvbn);
+  const SnapId after = vol.create_snapshot();
+  EXPECT_EQ(vol.snapshot_vvbn_of(after, l), last_vvbn);
+  EXPECT_EQ(vol.snapshot_vvbn_of(before, l), kInvalidVbn);
+  EXPECT_EQ(vol.vvbn_of(0), kInvalidVbn);
+  EXPECT_EQ(vol.pvbn_of_vvbn(0), kInvalidVbn);
+
+  EXPECT_EQ(vol.relocate(last_vvbn, 0), top_pvbn);
+  EXPECT_EQ(vol.pvbn_of(l), 0u);
+}
+
+TEST(FlexVolDeathTest, OversizedVolumeAbortsBeforeAllocating) {
+  FlexVolConfig cfg = small_vol();
+  cfg.vvbn_blocks = kInvalidPackedVbn;
+  EXPECT_DEATH(FlexVol(0, cfg, 1), "32-bit vvbn space");
+}
+
+TEST(FlexVolDeathTest, PvbnAtTheSentinelAborts) {
+  FlexVol vol(0, small_vol(), 1);
+  EXPECT_DEATH(vol.remap(0, 0, kInvalidPackedVbn),
+               "does not fit a 32-bit entry");
+}
+
 }  // namespace
 }  // namespace wafl
