@@ -249,22 +249,42 @@ TEST(CpDeterminism, RepeatedParallelRunsIdentical) {
 // count, in both geometries.  The STW comparator runs each seeded batch as
 // two half-CPs, because the overlapped side freezes the first half, takes
 // the second half as intake during the drain, and freezes it as the next
-// CP.
+// CP.  Between the halves (every other CP) volume 0 takes a snapshot and
+// deletes the previous one — through the driver, which quiesces the drain,
+// and directly on the FlexVol in the STW run — so the deletion's delayed
+// frees and their richest-region-first reclaim are compared too.
+std::vector<std::uint64_t> pending_delayed_frees(const Aggregate& agg) {
+  std::vector<std::uint64_t> out;
+  for (VolumeId v = 0; v < agg.volume_count(); ++v) {
+    out.push_back(agg.volume(v).pending_delayed_frees());
+  }
+  return out;
+}
+
 TEST(CpDeterminism, OverlappedMatchesStopTheWorld) {
   for (int geo = 0; geo < kGeometries; ++geo) {
     SCOPED_TRACE("geometry " + std::to_string(geo));
     auto stw = make_agg(geo);
     CpStats stw_total;
+    std::vector<std::vector<std::uint64_t>> stw_pending;
     {
       Rng rng(4242);
+      std::optional<SnapId> snap;
       for (int cp = 0; cp < 6; ++cp) {
         const auto batch = mixed_batch(rng, 2'500);
         const std::span<const DirtyBlock> all(batch);
         const std::size_t half = all.size() / 2;
         stw_total.merge(ConsistencyPoint::run(*stw, all.subspan(0, half)));
+        const SnapId next = stw->volume(0).create_snapshot();
+        if (snap) stw->volume(0).delete_snapshot(*snap);
+        snap = next;
+        stw_pending.push_back(pending_delayed_frees(*stw));
         stw_total.merge(ConsistencyPoint::run(*stw, all.subspan(half)));
       }
+      stw_pending.push_back(pending_delayed_frees(*stw));
     }
+    // The guard must see delayed frees actually logged.
+    ASSERT_GT(stw_pending[2][0], 0u);
 
     for (const std::size_t workers : {0u, 1u, 2u, 8u}) {
       SCOPED_TRACE(std::to_string(workers) + " workers");
@@ -272,7 +292,9 @@ TEST(CpDeterminism, OverlappedMatchesStopTheWorld) {
       if (workers > 0) pool.emplace(workers);
       auto ov = make_agg(geo, pool ? &*pool : nullptr);
       OverlappedCpDriver driver(*ov);
+      std::vector<std::vector<std::uint64_t>> ov_pending;
       Rng rng(4242);
+      std::optional<SnapId> snap;
       for (int cp = 0; cp < 6; ++cp) {
         const auto batch = mixed_batch(rng, 2'500);
         const std::span<const DirtyBlock> all(batch);
@@ -281,12 +303,19 @@ TEST(CpDeterminism, OverlappedMatchesStopTheWorld) {
         driver.start_cp();  // freeze the first half; drain it in background
         // Intake while that drain runs: lands in the active generation.
         driver.submit(all.subspan(half));
+        // Snapshot ops quiesce the drain of the first half first.
+        const SnapId next = driver.create_snapshot(0);
+        if (snap) driver.delete_snapshot(0, *snap);
+        snap = next;
+        ov_pending.push_back(pending_delayed_frees(*ov));
         driver.start_cp();  // quiesce, then freeze the second half
         driver.wait_idle();
       }
+      ov_pending.push_back(pending_delayed_frees(*ov));
       EXPECT_EQ(driver.stats().cps_completed, 12u);
       expect_same_stats(stw_total, driver.stats().cp, -1);
       expect_same_state(*stw, *ov);
+      EXPECT_EQ(stw_pending, ov_pending);
     }
   }
 }
