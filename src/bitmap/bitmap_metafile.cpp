@@ -18,7 +18,6 @@ BitmapMetafile::BitmapMetafile(std::uint64_t nbits, BlockStore* store,
       free_per_block_((nbits + kBitsPerBitmapBlock - 1) / kBitsPerBitmapBlock),
       total_free_(nbits),
       dirty_flag_(free_per_block_.size(), false),
-      intake_claims_(free_per_block_.size()),
       store_(store),
       store_base_(store_base_block) {
   // All bits start clear (free); the last block may cover fewer bits.
@@ -252,21 +251,6 @@ void BitmapMetafile::grow(std::uint64_t new_nbits) {
     dirty_flag_.push_back(false);
     total_free_ += hi - lo;
   }
-  intake_claims_.grow(free_per_block_.size());
-}
-
-void BitmapMetafile::mark_dirty_intake(std::uint64_t block) {
-  WAFL_ASSERT(block < free_per_block_.size());
-  if (intake_claims_.try_claim(block)) {
-    intake_list_.push(block);
-  }
-}
-
-std::uint64_t BitmapMetafile::freeze_dirty_generation() {
-  return intake_list_.consume_ordered([this](std::uint64_t b) {
-    intake_claims_.clear(b);
-    mark_dirty(b);
-  });
 }
 
 void BitmapMetafile::mark_dirty(std::uint64_t block) {

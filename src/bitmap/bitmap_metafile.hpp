@@ -22,8 +22,6 @@
 
 #include "bitmap/bitmap.hpp"
 #include "storage/block_store.hpp"
-#include "util/atomic_bitmap.hpp"
-#include "util/mpsc_log.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
 
@@ -162,28 +160,6 @@ class BitmapMetafile {
   /// Starts a fresh CP interval: clears the dirty set (without flushing).
   void begin_cp();
 
-  // --- Generation split (overlapped CPs, DESIGN.md §13) -------------------
-
-  /// Records that `block` was modified by *intake* — the active
-  /// generation — without entering it into the main (frozen) dirty set
-  /// an in-flight CP may be partitioning for flush.  Idempotent per
-  /// generation, and thread-safe: concurrent intake threads race a CAS
-  /// word claim and exactly one appends the block to the staging list
-  /// (DESIGN.md §14).
-  void mark_dirty_intake(std::uint64_t block);
-
-  /// Blocks dirtied by intake and not yet folded by
-  /// freeze_dirty_generation().
-  std::uint64_t intake_dirty_blocks() const noexcept {
-    return intake_list_.size();
-  }
-
-  /// Generation swap at CP freeze: folds the intake dirty set into the
-  /// main dirty set (dirtying order preserved, duplicates collapse) and
-  /// leaves the intake set empty.  Returns the number of blocks folded.
-  /// Requires intake quiesced (same contract as the rest of the freeze).
-  std::uint64_t freeze_dirty_generation();
-
   /// Writes every dirty metafile block to the backing store (if any) and
   /// clears the dirty set.  Returns the number of blocks written.
   std::uint64_t flush();
@@ -230,11 +206,6 @@ class BitmapMetafile {
 
   std::vector<bool> dirty_flag_;
   std::vector<std::uint64_t> dirty_list_;
-  /// Intake staging: one claim bit per metafile block (CAS-claimed, so
-  /// racing intake threads dedupe without a lock) plus the claim winners
-  /// in claim order.
-  AtomicClaimBitmap intake_claims_;
-  MpscLog<std::uint64_t> intake_list_;
 
   BlockStore* store_;
   std::uint64_t store_base_;

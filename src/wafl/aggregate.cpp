@@ -71,20 +71,6 @@ RaidGroupId Aggregate::add_raid_group(const RaidGroupConfig& rgc) {
   return walloc_.add_group(rgc, base);
 }
 
-std::uint64_t Aggregate::freeze_cp_generation() {
-  // Aggregate-level state first, then the volumes; the crash point sits
-  // between the two so the sweep exercises a genuinely half-swapped
-  // generation (aggregate frozen, volumes still staging).  Nothing here
-  // touches media, so recovery sees exactly the last completed CP.
-  std::uint64_t folded = activemap_.metafile().freeze_dirty_generation();
-  walloc_.freeze_generation();
-  WAFL_CRASH_POINT_RT(runtime_, "cp.in_gen_swap");
-  for (const auto& vol : volumes_) {
-    folded += vol->freeze_cp_generation();
-  }
-  return folded;
-}
-
 FlexVol& Aggregate::add_volume(const FlexVolConfig& vcfg) {
   WAFL_ASSERT_MSG(vcfg.vvbn_blocks < kInvalidPackedVbn,
                   "volume exceeds the 32-bit vvbn space");

@@ -179,16 +179,6 @@ class Aggregate {
   /// Starts a CP interval: clears per-CP device busy accounting.
   void begin_cp() { walloc_.begin_cp(); }
 
-  /// Generation swap at CP freeze (DESIGN.md §13): folds every intake-
-  /// staged (active-generation) mutation — the aggregate activemap's
-  /// intake dirty set, the engine's generation, and each volume's staged
-  /// delayed frees and intake dirty blocks — into the frozen generation
-  /// the starting CP drains.  O(staged entries), touches no media, and
-  /// is called with no CP in flight, so a crash mid-swap loses only
-  /// unfrozen in-memory intake (the same blast radius as a crash between
-  /// CPs).  Returns the number of staged entries folded.
-  std::uint64_t freeze_cp_generation();
-
   /// Allocates `n` physical VBNs in write order, appending to `out`.
   /// With a pool in the runtime, the engine's execute phase fans out per
   /// RAID group; results are bit-identical at any worker count (see

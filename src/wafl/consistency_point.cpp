@@ -119,10 +119,9 @@ ConsistencyPoint::Frozen ConsistencyPoint::freeze(
   obs::TraceSpan freeze_span(obs::SpanKind::kCpFreeze, frozen.cp_no,
                              dirty.size());
   agg.begin_cp();
-  // The generation swap: every intake-staged mutation (active-ledger
-  // delayed frees, intake dirty sets) folds into the generation this CP
-  // drains.  `cp.in_gen_swap` fires inside, mid-swap.
-  agg.freeze_cp_generation();
+  // Nothing has touched media yet: a crash here leaves exactly the last
+  // completed CP.
+  WAFL_CRASH_POINT_RT(agg.runtime(), "cp.in_gen_swap");
 
   // Group the dirty list by volume (stable, preserving per-volume order)
   // so each volume's work is one contiguous slice.

@@ -51,14 +51,13 @@ class ConsistencyPoint {
   static void group_by_volume(std::vector<DirtyBlock>& dirty,
                               std::size_t volume_count);
 
-  /// CP start (DESIGN.md §13): swaps the active generation of every piece
-  /// of CP-mutable dirty state into the frozen generation — Aggregate::
-  /// freeze_cp_generation() — and takes the dirty list, grouped by
-  /// volume.  Cheap (no media I/O, O(dirty + volumes + staged entries));
-  /// the returned snapshot is bit-identical to what the pre-split run()
-  /// operated on, which the determinism oracle checks.  Crash hook
-  /// `cp.in_gen_swap` fires mid-swap (aggregate frozen, volumes still
-  /// staging).
+  /// CP start (DESIGN.md §13): begins the aggregate's CP interval and
+  /// takes the dirty list, grouped by volume.  Cheap (no media I/O,
+  /// O(dirty + volumes)); the returned snapshot is bit-identical to what
+  /// the pre-split run() operated on, which the determinism oracle
+  /// checks.  Delayed frees need no swap: snapshot deletion logs them
+  /// only while no drain is in flight.  Crash hook `cp.in_gen_swap` fires
+  /// right after begin_cp(), before anything touches media.
   static Frozen freeze(Aggregate& agg, std::vector<DirtyBlock> dirty);
 
   /// The phased CP work over a frozen generation: physical allocation,

@@ -39,15 +39,6 @@ void DelayedFreeLog::log_free(Vbn v) {
   hbps_.update_score(r, region.count - 1, region.count);
 }
 
-void DelayedFreeLog::log_free_active(Vbn v) {
-  WAFL_ASSERT(region_of(v) < pending_.size());
-  active_.push(v);
-}
-
-std::uint64_t DelayedFreeLog::freeze_generation() {
-  return active_.consume_ordered([this](Vbn v) { log_free(v); });
-}
-
 std::optional<DelayedFreeLog::Drain> DelayedFreeLog::drain_richest() {
   if (pending_total_ == 0) return std::nullopt;
 
@@ -94,11 +85,7 @@ bool DelayedFreeLog::validate() const {
     if (region.count != region.vbns.size()) return false;
     total += region.count;
   }
-  bool staged_ok = true;
-  active_.for_each([&](Vbn v) {
-    if (region_of(v) >= pending_.size()) staged_ok = false;
-  });
-  return staged_ok && total == pending_total_ && hbps_.validate();
+  return total == pending_total_ && hbps_.validate();
 }
 
 }  // namespace wafl

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/hbps.hpp"
-#include "util/mpsc_log.hpp"
 #include "util/types.hpp"
 
 namespace wafl {
@@ -46,34 +45,13 @@ class DelayedFreeLog {
     return static_cast<std::uint32_t>(v / region_blocks_);
   }
 
-  /// Logs a delayed free of `v` directly into the frozen (drainable)
-  /// generation.  Only safe while no CP is draining this log.
+  /// Logs a delayed free of `v`: its region's score rises by one.  Only
+  /// safe while no CP is draining this log — snapshot deletion runs
+  /// between CPs, and OverlappedCpDriver quiesces its drain first.
   void log_free(Vbn v);
 
-  /// Stages a delayed free of `v` in the *active* generation ledger.
-  /// Region scores and drain order are untouched until the next
-  /// freeze_generation() folds the ledger in, so an in-flight CP
-  /// draining the frozen generation never observes it.  MPSC: any number
-  /// of intake threads may stage concurrently (DESIGN.md §14); the fold
-  /// consumes reservation-index order, which equals staging order for a
-  /// single producer.
-  void log_free_active(Vbn v);
-
-  /// Generation swap at CP freeze: folds the active ledger into the
-  /// drainable log in staging order.  Returns the number folded.
-  /// Requires stagers quiesced (the driver holds every intake shard
-  /// lock, or the workload is single-threaded).
-  std::uint64_t freeze_generation();
-
-  /// Frees staged in the active generation, not yet visible to drains.
-  std::uint64_t active_total() const noexcept { return active_.size(); }
-
-  /// Total frees logged but not yet drained, across both generations.
-  std::uint64_t pending_total() const noexcept {
-    return pending_total_ + active_.size();
-  }
-  /// Frees drainable right now (frozen generation only).
-  std::uint64_t drainable_total() const noexcept { return pending_total_; }
+  /// Frees logged but not yet drained.
+  std::uint64_t pending_total() const noexcept { return pending_total_; }
   std::uint32_t pending_in_region(std::uint32_t region) const {
     return pending_[region].count;
   }
@@ -100,7 +78,6 @@ class DelayedFreeLog {
   std::uint32_t region_blocks_;
   std::vector<Region> pending_;
   std::uint64_t pending_total_ = 0;
-  MpscLog<Vbn> active_;
   Hbps hbps_;
 };
 

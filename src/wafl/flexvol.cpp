@@ -155,14 +155,15 @@ void FlexVol::cp_remap(std::span<const DirtyBlock> dirty,
 
 Vbn FlexVol::remap(std::uint64_t l, Vbn vvbn, Vbn pvbn) {
   WAFL_ASSERT(l < cfg_.file_blocks);
+  WAFL_ASSERT_MSG(activemap_.is_allocated(vvbn),
+                  "remapping to an unallocated vvbn");
   WAFL_ASSERT(container_map_[vvbn] == kInvalidPackedVbn);
   Vbn freed_pvbn = kInvalidVbn;
   const PackedVbn old_vvbn = block_map_[l];
   if (old_vvbn != kInvalidPackedVbn && !snap_held_.test(old_vvbn)) {
     freed_pvbn = widen(container_map_[old_vvbn]);
     container_map_[old_vvbn] = kInvalidPackedVbn;
-    activemap_.defer_free(old_vvbn);
-    board_.note_free(old_vvbn);
+    defer_free_vvbn(old_vvbn);
   }
   // A snapshot-held old block stays allocated and mapped; it is reclaimed
   // (as a delayed free) when its last holding snapshot is deleted.
@@ -230,20 +231,17 @@ void FlexVol::delete_snapshot(SnapId id) {
     if (v == kInvalidPackedVbn || !snap_held_.test(v)) continue;
     if (still_held.test(v)) continue;
     snap_held_.clear(v);
-    if (!active.test(v)) {
-      // Staged in the active generation: the in-flight (frozen) CP's
-      // richest-first drain order is already fixed; these enter the
-      // drainable log at the next freeze_cp_generation().  The ledger is
-      // an MPSC log (DESIGN.md §14), so deletions staged from intake
-      // threads need no volume-wide lock.
-      delayed_.log_free_active(v);
-    }
+    // No CP is draining this volume, so the next CP is the first to see
+    // these.
+    if (!active.test(v)) delayed_.log_free(v);
   }
 }
 
-std::uint64_t FlexVol::freeze_cp_generation() {
-  return delayed_.freeze_generation() +
-         activemap_.metafile().freeze_dirty_generation();
+void FlexVol::defer_free_vvbn(Vbn vvbn) {
+  WAFL_ASSERT_MSG(activemap_.is_allocated(vvbn),
+                  "deferring free of a free block");
+  frees_.push_back(vvbn);
+  board_.note_free(vvbn);
 }
 
 std::uint64_t FlexVol::process_delayed_frees(std::size_t max_regions,
@@ -256,8 +254,7 @@ std::uint64_t FlexVol::process_delayed_frees(std::size_t max_regions,
       const PackedVbn pvbn = container_map_[vvbn];
       WAFL_ASSERT(pvbn != kInvalidPackedVbn);
       container_map_[vvbn] = kInvalidPackedVbn;
-      activemap_.defer_free(vvbn);
-      board_.note_free(vvbn);
+      defer_free_vvbn(vvbn);
       freed_pvbns.push_back(pvbn);
       ++reclaimed;
     }
@@ -267,14 +264,15 @@ std::uint64_t FlexVol::process_delayed_frees(std::size_t max_regions,
 
 void FlexVol::finish_cp(CpStats& stats) {
   // A volume untouched by this CP has nothing to apply, flush, or persist.
-  if (activemap_.metafile().dirty_blocks() == 0 &&
-      activemap_.pending_frees() == 0 && !selector_.has_retired()) {
+  if (activemap_.metafile().dirty_blocks() == 0 && frees_.empty() &&
+      !selector_.has_retired()) {
     return;
   }
 
   // Frees are counted once, at the aggregate (vvbn and pvbn frees are 1:1
   // for overwrites).
-  activemap_.apply_deferred_frees();
+  for (const Vbn vvbn : frees_) activemap_.free(vvbn);
+  frees_.clear();
 
   selector_.apply_cp();
   if (selector_.replenish()) ++stats.hbps_replenishes;

@@ -95,7 +95,8 @@ class FlexVol {
   Vbn allocate_vvbn(CpStats& stats);
 
   /// Binds logical block l to (vvbn, pvbn), deferring the free of any
-  /// previous mapping to the CP boundary.  Returns the freed pvbn (for the
+  /// previous mapping to the CP boundary.  `vvbn` must be allocated (by
+  /// allocate_vvbn) and unmapped.  Returns the freed pvbn (for the
   /// aggregate to free) or kInvalidVbn if l was unmapped.
   Vbn remap(std::uint64_t l, Vbn vvbn, Vbn pvbn);
 
@@ -129,6 +130,7 @@ class FlexVol {
   /// or any remaining snapshot become DELAYED frees: they are logged per
   /// AA-sized region (richest-region-first drain via the HBPS-backed
   /// DelayedFreeLog) and reclaimed incrementally by subsequent CPs.
+  /// Must not run while a CP is draining this volume.
   void delete_snapshot(SnapId id);
 
   std::size_t snapshot_count() const noexcept { return snapshots_.size(); }
@@ -141,12 +143,6 @@ class FlexVol {
   std::uint64_t pending_delayed_frees() const noexcept {
     return delayed_.pending_total();
   }
-
-  /// Generation swap at CP freeze (DESIGN.md §13): folds intake-staged
-  /// state — active-ledger delayed frees and intake-dirtied metafile
-  /// blocks — into the frozen generation the starting CP will drain.
-  /// Cheap (O(staged entries)), touches no media.  Returns entries folded.
-  std::uint64_t freeze_cp_generation();
 
   /// Reclaims up to `max_regions` richest regions of delayed frees:
   /// defers the vvbn frees to this CP and appends the matching physical
@@ -211,6 +207,12 @@ class FlexVol {
   /// one at a time, vol_bits_scanned and AA retirement included.
   VvbnRun take_vvbn_run(std::uint64_t max, CpStats& stats);
 
+  /// Queues the free of `vvbn` for finish_cp().  The bit stays set until
+  /// then, so the vvbn cannot be reused within this CP — WAFL's COW
+  /// safety rule (a freed block's old contents must survive until the CP
+  /// that frees it commits).
+  void defer_free_vvbn(Vbn vvbn);
+
   const Runtime* rt_;
   VolumeId id_;
   FlexVolConfig cfg_;
@@ -220,6 +222,8 @@ class FlexVol {
   std::uint64_t topaa_base_;
 
   Activemap activemap_;
+  /// vvbn frees deferred to finish_cp(), in deferral order.
+  std::vector<Vbn> frees_;
   AaLayout layout_;
   AaScoreBoard board_;
   /// The open AA, the HBPS (§3.3.2), the retired list and the kRandom

@@ -278,8 +278,9 @@ SnapId OverlappedCpDriver::create_snapshot(VolumeId vol) {
 void OverlappedCpDriver::delete_snapshot(VolumeId vol, SnapId id) {
   std::unique_lock<std::mutex> lk(mu_);
   quiesce_locked(lk);
-  // Stages active-ledger frees; they fold at the next freeze, exactly
-  // where a stop-the-world workload's deletion would fold.
+  // The drain is quiesced, so the deletion logs its delayed frees straight
+  // into the volume's log; the next CP drains them, exactly as after a
+  // stop-the-world workload's deletion.
   agg_.volume(vol).delete_snapshot(id);
 }
 

@@ -162,9 +162,9 @@ class OverlappedCpDriver {
   bool drain_in_flight() const;
 
   /// Snapshot ops route through the driver so they order against the
-  /// generation swap: they quiesce the drain, apply, and the staged
-  /// frees fold at the NEXT freeze (identical to the stop-the-world
-  /// ordering).
+  /// drain: they quiesce it, then apply directly, so a deletion's delayed
+  /// frees are first drained by the NEXT CP (identical to the
+  /// stop-the-world ordering).
   SnapId create_snapshot(VolumeId vol);
   void delete_snapshot(VolumeId vol, SnapId id);
 

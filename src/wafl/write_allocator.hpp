@@ -397,16 +397,6 @@ class WriteAllocator {
   // --- CP-side allocation --------------------------------------------------
   void begin_cp();
 
-  /// Generation swap at CP freeze (DESIGN.md §13).  The engine's staged
-  /// accounting is local to each allocate() call and every finish_cp()
-  /// drains TopAA staging and the tetris windows to empty, so the swap is
-  /// a generation bump: anything still open (e.g. windows the segment
-  /// cleaner filled between CPs) belongs to the generation being frozen
-  /// and is flushed by that generation's drain.
-  void freeze_generation() { ++generation_; }
-  /// CP generations frozen so far (the in-flight drain's generation id).
-  std::uint64_t generation() const noexcept { return generation_; }
-
   /// Allocates `n` pvbns in write order, appending to `out`, through the
   /// plan/execute pipeline (both policies): a serial plan fixes every
   /// group's quota and output positions (round-robin rotation with
@@ -460,8 +450,6 @@ class WriteAllocator {
   std::vector<std::unique_ptr<RgAllocator>> groups_;
   /// Round-robin pointer for tetris distribution across groups.
   std::size_t rr_next_ = 0;
-  /// Bumped by freeze_generation() at every CP freeze.
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace wafl

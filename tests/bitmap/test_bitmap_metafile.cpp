@@ -5,7 +5,6 @@
 #include <bit>
 #include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -120,62 +119,6 @@ TEST(BitmapMetafile, DirtyTrackingPerBlock) {
   EXPECT_EQ(mf.dirty_blocks(), 0u);
   mf.set_free(1);
   EXPECT_EQ(mf.dirty_blocks(), 1u);
-}
-
-TEST(BitmapMetafile, IntakeGenerationFoldsAtFreeze) {
-  // Generation split (DESIGN.md §13): mark_dirty_intake stages into the
-  // active set without touching the CP-visible dirty set; the freeze
-  // folds and resets it.
-  BitmapMetafile mf(kTwoBlocks);
-  EXPECT_EQ(mf.freeze_dirty_generation(), 0u);  // empty freeze is a no-op
-  mf.mark_dirty_intake(0);
-  mf.mark_dirty_intake(1);
-  mf.mark_dirty_intake(0);  // coalesced within the generation
-  EXPECT_EQ(mf.intake_dirty_blocks(), 2u);
-  EXPECT_EQ(mf.dirty_blocks(), 0u);
-
-  EXPECT_EQ(mf.freeze_dirty_generation(), 2u);
-  EXPECT_EQ(mf.intake_dirty_blocks(), 0u);
-  EXPECT_EQ(mf.dirty_blocks(), 2u);
-
-  // Re-staging a block that is already CP-dirty folds into the same dirty
-  // entry — no double counting.
-  mf.mark_dirty_intake(1);
-  EXPECT_EQ(mf.freeze_dirty_generation(), 1u);
-  EXPECT_EQ(mf.dirty_blocks(), 2u);
-}
-
-TEST(BitmapMetafile, ConcurrentIntakeMarksFoldOnce) {
-  // mark_dirty_intake is the lock-free intake path (DESIGN.md §14): a CAS
-  // claim per metafile block plus an MPSC list append by the winner.  Many
-  // threads hammering overlapping block sets must coalesce to exactly one
-  // staged entry per distinct block, and the freeze folds each once.
-  constexpr std::uint64_t kBlocks = 7;
-  BitmapMetafile mf(kBlocks * kBitsPerBitmapBlock);
-  constexpr unsigned kThreads = 8;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&mf, t] {
-      Rng rng(40u + t);
-      for (int i = 0; i < 4000; ++i) {
-        mf.mark_dirty_intake(rng.below(kBlocks));
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  // 32k draws over 7 blocks: every block was marked by someone, and the
-  // claims coalesced the rest.
-  EXPECT_EQ(mf.intake_dirty_blocks(), kBlocks);
-  EXPECT_EQ(mf.dirty_blocks(), 0u);
-  EXPECT_EQ(mf.freeze_dirty_generation(), kBlocks);
-  EXPECT_EQ(mf.intake_dirty_blocks(), 0u);
-  EXPECT_EQ(mf.dirty_blocks(), kBlocks);
-  // The claim space recycled: the next generation coalesces afresh.
-  mf.mark_dirty_intake(3);
-  mf.mark_dirty_intake(3);
-  EXPECT_EQ(mf.intake_dirty_blocks(), 1u);
-  EXPECT_EQ(mf.freeze_dirty_generation(), 1u);
 }
 
 TEST(BitmapMetafile, FlushWritesOnlyDirtyBlocks) {

@@ -69,14 +69,14 @@ TEST(BitmapGrowth, GrownMetafileFlushesAndReloads) {
   EXPECT_EQ(reloaded.total_free(), mf.total_free());
 }
 
-TEST(BitmapGrowth, ActivemapGrowKeepsDeferredSemantics) {
+TEST(BitmapGrowth, ActivemapGrowKeepsAllocations) {
   Activemap am(1000);
   am.allocate(10);
-  am.defer_free(10);
   am.grow(5000);
   EXPECT_EQ(am.size_blocks(), 5000u);
+  EXPECT_TRUE(am.is_allocated(10));
   am.allocate(4000);
-  EXPECT_EQ(am.apply_deferred_frees(), 1u);
+  am.free(10);
   EXPECT_FALSE(am.is_allocated(10));
   EXPECT_TRUE(am.is_allocated(4000));
   EXPECT_EQ(am.total_free(), 4999u);

@@ -135,23 +135,5 @@ TEST(AtomicClaimFuzz, SeededSweep) {
   }
 }
 
-// grow() keeps existing claims and exposes fresh claimable space — the
-// RAID-group-growth path, serial by contract.
-TEST(AtomicClaimFuzz, GrowPreservesClaims) {
-  AtomicClaimBitmap bm(70);
-  EXPECT_TRUE(bm.try_claim(0));
-  EXPECT_TRUE(bm.try_claim(69));
-  bm.grow(300);
-  EXPECT_EQ(bm.size_bits(), 300u);
-  EXPECT_TRUE(bm.test(0));
-  EXPECT_TRUE(bm.test(69));
-  EXPECT_FALSE(bm.try_claim(69));
-  EXPECT_TRUE(bm.try_claim(299));
-  EXPECT_EQ(bm.popcount(), 3u);
-  bm.reset();
-  EXPECT_EQ(bm.popcount(), 0u);
-  EXPECT_TRUE(bm.try_claim(0));
-}
-
 }  // namespace
 }  // namespace wafl

@@ -193,10 +193,10 @@ TEST(CrashRecovery, CrashDuringFreeze) {
 }
 
 TEST(CrashRecovery, CrashInGenerationSwap) {
-  // The crash fires inside Aggregate::freeze_cp_generation(), after the
-  // aggregate-side fold but before the volumes folded — a genuinely
-  // half-swapped generation.  The swap touches no media, so recovery
-  // still converges on the last committed CP.
+  // The crash fires inside ConsistencyPoint::freeze(), right after the
+  // aggregate began its CP interval and while the previous CP's drain may
+  // have just finished.  The freeze touches no media, so recovery still
+  // converges on the last committed CP.
   CrashCaseConfig cfg = base_config(2121);
   cfg.overlapped = true;
   cfg.crash_hook = "cp.in_gen_swap";

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -119,108 +118,6 @@ TEST(DelayedFreeLog, ManyRegionsChurn) {
   while (log.drain_richest().has_value()) {
   }
   EXPECT_EQ(log.pending_total(), 0u);
-}
-
-TEST(DelayedFreeLog, ActiveGenerationFoldsAtFreeze) {
-  // Generation split (DESIGN.md §13): log_free_active stages into the
-  // active ledger — invisible to drain_richest, visible in the combined
-  // pending_total() — and freeze_generation folds it into the drainable
-  // frozen state.
-  DelayedFreeLog log(4096, 1024);
-  EXPECT_EQ(log.freeze_generation(), 0u);  // empty freeze is a no-op
-  log.log_free_active(100);
-  log.log_free_active(200);
-  log.log_free_active(1500);
-  EXPECT_EQ(log.active_total(), 3u);
-  EXPECT_EQ(log.pending_total(), 3u);
-  EXPECT_EQ(log.drainable_total(), 0u);
-  EXPECT_EQ(log.pending_in_region(0), 0u);
-  EXPECT_TRUE(log.validate());
-
-  EXPECT_EQ(log.freeze_generation(), 3u);
-  EXPECT_EQ(log.active_total(), 0u);
-  EXPECT_EQ(log.pending_total(), 3u);
-  EXPECT_EQ(log.drainable_total(), 3u);
-  EXPECT_EQ(log.pending_in_region(0), 2u);
-  EXPECT_EQ(log.pending_in_region(1), 1u);
-
-  const auto drain = log.drain_richest();
-  ASSERT_TRUE(drain.has_value());
-  EXPECT_EQ(drain->region, 0u);
-  EXPECT_EQ(drain->vbns, (std::vector<Vbn>{100, 200}));
-  EXPECT_TRUE(log.validate());
-}
-
-TEST(DelayedFreeLog, FreezeReproducesDirectLogOrder) {
-  // Determinism requirement: folding at freeze must walk the active
-  // ledger in staging order, producing the exact per-region state (and
-  // HBPS update sequence) that direct log_free calls would have built.
-  DelayedFreeLog via_active(8192, 1024);
-  DelayedFreeLog direct(8192, 1024);
-  Rng rng(11);
-  for (int i = 0; i < 500; ++i) {
-    const Vbn v = rng.below(8192);
-    via_active.log_free_active(v);
-    direct.log_free(v);
-  }
-  EXPECT_EQ(via_active.freeze_generation(), 500u);
-  EXPECT_EQ(via_active.pending_total(), direct.pending_total());
-  while (true) {
-    const auto a = via_active.drain_richest();
-    const auto b = direct.drain_richest();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->region, b->region);
-    EXPECT_EQ(a->vbns, b->vbns);
-  }
-}
-
-TEST(DelayedFreeLog, ConcurrentActiveStagingConserves) {
-  // The active ledger is a lock-free MPSC log (DESIGN.md §14): many
-  // writer threads stage frees concurrently, the freeze consumes under
-  // quiescence.  Interleaving decides the fold ORDER across threads, but
-  // never the SET: per-region totals and drained vbn sets must match a
-  // serial oracle staging the same frees.  Disjoint per-thread vbn
-  // ranges, so no double-free regardless of schedule.
-  constexpr unsigned kThreads = 4;
-  constexpr Vbn kPerThread = 2000;
-  DelayedFreeLog log(kThreads * kPerThread, 1024);
-  DelayedFreeLog oracle(kThreads * kPerThread, 1024);
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&log, t] {
-      for (Vbn i = 0; i < kPerThread; ++i) {
-        log.log_free_active(static_cast<Vbn>(t) * kPerThread + i);
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  for (Vbn v = 0; v < kThreads * kPerThread; ++v) {
-    oracle.log_free(v);
-  }
-  EXPECT_EQ(log.active_total(), kThreads * kPerThread);
-  EXPECT_TRUE(log.validate());
-  EXPECT_EQ(log.freeze_generation(), kThreads * kPerThread);
-  EXPECT_EQ(log.pending_total(), oracle.pending_total());
-  // Drain both to exhaustion.  The Hbps tie-break among equally rich
-  // regions follows bin insertion order, which the fold order permutes —
-  // so the drain SEQUENCE may differ between the concurrent log and the
-  // oracle.  The invariant is the per-region drained sets.
-  std::map<std::uint32_t, std::vector<Vbn>> drained, expected;
-  while (auto a = log.drain_richest()) {
-    std::sort(a->vbns.begin(), a->vbns.end());
-    drained.emplace(a->region, std::move(a->vbns));
-  }
-  while (auto b = oracle.drain_richest()) {
-    std::sort(b->vbns.begin(), b->vbns.end());
-    expected.emplace(b->region, std::move(b->vbns));
-  }
-  EXPECT_EQ(drained, expected);
-  // The generation's chunks recycle: the next cycle works identically.
-  log.log_free_active(3);
-  EXPECT_EQ(log.freeze_generation(), 1u);
-  EXPECT_EQ(log.pending_in_region(0), 1u);
 }
 
 TEST(DelayedFreeLogDeathTest, OverfillingRegionAsserts) {

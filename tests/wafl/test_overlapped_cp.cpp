@@ -226,9 +226,9 @@ TEST(OverlappedCp, FreezeErrorThrownFromStartCp) {
   fault::crash_hooks().arm("cp.in_gen_swap", 1);
   EXPECT_THROW(driver.start_cp(), fault::CrashPoint);
   fault::crash_hooks().disarm_all();
-  // The swap failed before any drain launched: nothing in flight, no CP
-  // counted.  (The half-swapped aggregate is crash state — recovery is
-  // the harness's job, not the driver's.)
+  // The freeze failed before any drain launched: nothing in flight, no CP
+  // counted.  (The aggregate after the aborted freeze is crash state —
+  // recovery is the harness's job, not the driver's.)
   EXPECT_FALSE(driver.drain_in_flight());
   EXPECT_EQ(driver.stats().cps_started, 0u);
 }
@@ -250,9 +250,8 @@ TEST(OverlappedCp, SnapshotOpsQuiesceAndFoldAtNextFreeze) {
   EXPECT_EQ(agg->volume(0).pending_delayed_frees(), 0u);
   driver.delete_snapshot(0, snap);
   const std::uint64_t staged = agg->volume(0).pending_delayed_frees();
-  EXPECT_GT(staged, 0u);  // active-ledger frees staged by the deletion
-  // They fold at the next freeze and drain down over subsequent CPs,
-  // exactly like the stop-the-world path.
+  EXPECT_GT(staged, 0u);  // delayed frees logged by the deletion
+  // The next CPs drain them down, exactly like the stop-the-world path.
   while (agg->volume(0).pending_delayed_frees() > 0) {
     driver.start_cp();
     driver.wait_idle();

@@ -112,8 +112,7 @@ if [[ $TSAN -eq 1 ]]; then
   # fan-out, the 4-worker emit-while-scan stress
   # (MountParallel.EmitWhileScanStress), the span layer's concurrent
   # emit-while-snapshot stress, and the sharded-intake battery (writer
-  # matrix, emit-while-freeze race, CAS claim fuzz, MPSC delayed-free
-  # staging).
+  # matrix, emit-while-freeze race, CAS claim fuzz).
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'ParallelCp|CpDeterminism|OverlappedCp|ConcurrentIntake|AtomicClaimFuzz|DelayedFreeLog|WriteAllocatorEngine|ThreadPool|Mount|Scoreboard|BitmapMetafile|BlockStoreConcurrent|SpanTrace|Iron|Fleet|Aggregate' |
     tail -3
