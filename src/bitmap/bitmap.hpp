@@ -67,7 +67,9 @@ class Bitmap {
     words_[w] |= mask;
   }
 
-  /// Number of SET bits in [begin, end).
+  /// Number of SET bits in [begin, end): one block count over the words
+  /// the range touches (a portable SWAR kernel, not a popcount call per
+  /// word).
   std::uint64_t count_set(std::uint64_t begin, std::uint64_t end) const;
 
   /// Number of CLEAR bits (free blocks) in [begin, end).
@@ -89,7 +91,7 @@ class Bitmap {
   /// [first_word, first_word + src.size()) take `src`'s values verbatim.
   /// If the run covers the final word, bits beyond size() are re-cleared,
   /// so garbage a torn or corrupt medium left past the tracked range
-  /// cannot skew whole-word popcounts.
+  /// cannot skew whole-word counts.
   void store_words(std::uint64_t first_word,
                    std::span<const std::uint64_t> src) noexcept {
     WAFL_ASSERT(first_word + src.size() <= words_.size());
@@ -97,6 +99,16 @@ class Bitmap {
     if (first_word + src.size() == words_.size()) {
       trim_tail();
     }
+  }
+
+  /// Writable words [first_word, first_word + n), so the mount walk can
+  /// read a metafile block straight into the bit vector.  The run must end
+  /// before the final word: every bit it holds is tracked, so any value is
+  /// valid.  A run that holds the final word goes through store_words().
+  std::span<std::uint64_t> interior_words(std::uint64_t first_word,
+                                          std::uint64_t n) noexcept {
+    WAFL_ASSERT(first_word + n < words_.size());
+    return {words_.data() + first_word, n};
   }
 
   /// Raw word access for serialization (little-endian word layout).

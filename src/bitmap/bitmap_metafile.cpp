@@ -193,13 +193,21 @@ void BitmapMetafile::flush_block(std::uint64_t b) const {
 void BitmapMetafile::load_block(std::uint64_t b) {
   WAFL_ASSERT_MSG(store_ != nullptr, "load_block without a backing store");
   WAFL_ASSERT(b < free_per_block_.size());
-  alignas(8) std::uint64_t words[kWordsPerBlock];
-  store_->read(store_base_ + b,
-               std::span(reinterpret_cast<std::byte*>(words), kBlockSize));
   const std::uint64_t first_word = b * kWordsPerBlock;
-  const std::uint64_t have = std::min<std::uint64_t>(
-      kWordsPerBlock, bits_.words().size() - first_word);
-  bits_.store_words(first_word, std::span(words, have));
+  const std::uint64_t last_word = bits_.words().size() - 1;
+  if (first_word + kWordsPerBlock <= last_word) {
+    // Every bit of the block is tracked: read it straight into the words.
+    store_->read(store_base_ + b, std::as_writable_bytes(bits_.interior_words(
+                                      first_word, kWordsPerBlock)));
+  } else {
+    // The final word's block: store_words() trims what the medium holds
+    // past size().
+    alignas(8) std::uint64_t words[kWordsPerBlock];
+    store_->read(store_base_ + b,
+                 std::span(reinterpret_cast<std::byte*>(words), kBlockSize));
+    bits_.store_words(first_word,
+                      std::span(words, last_word + 1 - first_word));
+  }
   const std::uint64_t lo_bit = b * kBitsPerBitmapBlock;
   const std::uint64_t hi_bit =
       std::min<std::uint64_t>(lo_bit + kBitsPerBitmapBlock, bits_.size());
@@ -215,10 +223,10 @@ void BitmapMetafile::finish_load() {
 
 void BitmapMetafile::load_all(ThreadPool* pool) {
   WAFL_ASSERT_MSG(store_ != nullptr, "load_all without a backing store");
-  // One metafile block is one read, one word-level copy into the bit
-  // vector, and one popcount for the summary.  Blocks touch disjoint word
-  // ranges and the store allows disjoint-slot concurrent reads, so the
-  // whole walk fans out per block (see load_block()).
+  // One metafile block is one read, copied by the store straight into the
+  // bit vector, and one block count for the summary.  Blocks touch
+  // disjoint word ranges and the store allows disjoint-slot concurrent
+  // reads, so the whole walk fans out per block (see load_block()).
   parallel_for(pool, free_per_block_.size(), 8,
                [this](std::size_t b) { load_block(b); });
   finish_load();

@@ -174,9 +174,11 @@ class BitmapMetafile {
 
   /// Reads every metafile block from the backing store, rebuilding bits and
   /// summary.  This is the "linear walk of the bitmap metafiles" mount path
-  /// (§3.4).  Each block is one word-level copy plus a popcount; with a
-  /// pool the whole walk (read + copy + recount) fans out per block, which
-  /// the concurrent-safe BlockStore makes sound.  Per-AA scoring
+  /// (§3.4).  Each block is one copy from the store straight into the bit
+  /// vector (only the block holding the final word goes through a buffer,
+  /// to trim the bits past size()) plus one block count for its summary;
+  /// with a pool the whole walk (read + copy + count) fans out per block,
+  /// which the concurrent-safe BlockStore makes sound.  Per-AA scoring
   /// (AaScoreBoard's metafile constructor) runs after it returns.
   void load_all(ThreadPool* pool = nullptr);
 

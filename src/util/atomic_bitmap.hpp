@@ -13,8 +13,8 @@
 // which reads the per-shard dirty lists under the shard locks) and orders
 // the claim against the claimer's subsequent list append.  A failed claim
 // is acquire, so the loser reads anything the winner published before
-// claiming.  clear()/reset() are relaxed: generation swaps run under
-// exclusion (every shard lock held), never concurrently with claims.
+// claiming.  clear() is relaxed: generation swaps run under exclusion
+// (every shard lock held), never concurrently with claims.
 #pragma once
 
 #include <atomic>
@@ -75,13 +75,6 @@ class AtomicClaimBitmap {
                     "clearing an unclaimed bit");
     w.store(w.load(std::memory_order_relaxed) & ~mask,
             std::memory_order_relaxed);
-  }
-
-  /// Zeroes every word.  Caller must exclude claimers.
-  void reset() noexcept {
-    for (std::uint64_t i = 0; i < nwords_; ++i) {
-      words_[i].store(0, std::memory_order_relaxed);
-    }
   }
 
   /// Claimed bits right now — test/oracle use (exclusion required for an

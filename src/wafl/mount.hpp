@@ -15,8 +15,9 @@
 //
 // mount_all() executes the chosen path and reports what it cost: metafile
 // blocks read (the I/O term — the dominant cost on real systems, modeled
-// by the caller from a per-read latency) and measured CPU seconds (the
-// popcount/build term, measured for real).
+// by the caller from a per-read latency) and measured CPU seconds (one
+// copy and one block bit count per metafile block, then per-AA scoring
+// and the cache builds, measured for real).
 #pragma once
 
 #include <atomic>

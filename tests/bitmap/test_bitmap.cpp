@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace wafl {
 namespace {
@@ -151,6 +153,89 @@ TEST(Bitmap, SizeNotMultipleOf64) {
   EXPECT_EQ(bm.find_first_set(0, 65), 64u);
   bm.clear(64);
   EXPECT_EQ(bm.find_first_clear(64, 65), 64u);
+}
+
+// count_set() (and count_clear()) against a per-bit prefix count, on
+// bitmaps up to about three metafile blocks long.  The ranges start on and
+// beside word edges and span middle runs just under, at and over the block
+// kernel's 30-word run; empty ranges and ranges ending in a partial last
+// word are included, and every bitmap holds an all-ones span of at least
+// 64 words, where a byte lane summed over too many words would carry.
+TEST(Bitmap, CountSetMatchesPerBitReference) {
+  Rng rng(24);
+  const std::uint64_t sizes[] = {64,
+                                 30 * 64 + 1,
+                                 100 * 64 + 7,
+                                 3 * kBitsPerBitmapBlock - 37,
+                                 3 * kBitsPerBitmapBlock,
+                                 2 * kBitsPerBitmapBlock +
+                                     rng.below(kBitsPerBitmapBlock)};
+  for (const std::uint64_t n : sizes) {
+    Bitmap bm(n);
+    std::vector<bool> ref(n, false);
+    auto set = [&](std::uint64_t i) {
+      if (!ref[i]) {
+        bm.set(i);
+        ref[i] = true;
+      }
+    };
+    // Segments of all-ones, all-clear and random bits, of random length.
+    for (std::uint64_t i = 0; i < n;) {
+      const std::uint64_t len = std::min<std::uint64_t>(
+          n - i, 64 * rng.below(100) + rng.below(64) + 1);
+      const std::uint64_t kind = rng.below(3);
+      for (std::uint64_t j = i; j < i + len; ++j) {
+        if (kind == 0 || (kind == 2 && rng.chance(0.5))) set(j);
+      }
+      i += len;
+    }
+    // An all-ones span of at least 64 whole words (all of a short map).
+    const std::uint64_t ones_words = std::min<std::uint64_t>(n / 64, 64 + 40);
+    const std::uint64_t ones_lo = 64 * rng.below(n / 64 - ones_words + 1);
+    const std::uint64_t ones_hi = ones_lo + 64 * ones_words;
+    for (std::uint64_t j = ones_lo; j < ones_hi; ++j) set(j);
+
+    std::vector<std::uint64_t> prefix(n + 1, 0);
+    for (std::uint64_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + ref[i];
+    auto check = [&](std::uint64_t b, std::uint64_t e) {
+      ASSERT_LE(b, e);
+      ASSERT_LE(e, n);
+      const std::uint64_t want = prefix[e] - prefix[b];
+      ASSERT_EQ(bm.count_set(b, e), want) << "n=" << n << " [" << b << ", "
+                                          << e << ")";
+      ASSERT_EQ(bm.count_clear(b, e), (e - b) - want);
+    };
+
+    check(0, n);
+    check(ones_lo, ones_hi);
+    check(ones_lo + 1, ones_hi - 1);
+    for (const std::uint64_t b : {std::uint64_t{0}, n / 2, n}) check(b, b);
+    // Begin on and beside a word edge; m whole middle words (m + 2 words
+    // touched, on and beside multiples of 30); end on and beside the last
+    // word's edges.
+    for (const std::uint64_t w0 : {std::uint64_t{0}, std::uint64_t{1},
+                                   ones_lo / 64, n / 128}) {
+      for (const std::uint64_t off : {0u, 1u, 63u}) {
+        const std::uint64_t b = 64 * w0 + off;
+        for (const std::uint64_t m : {0u, 1u, 2u, 27u, 28u, 29u, 30u, 31u,
+                                      57u, 58u, 59u, 60u, 61u, 88u, 89u,
+                                      90u, 256u, 512u}) {
+          const std::uint64_t last = w0 + m + 1;
+          for (const std::uint64_t t : {1u, 2u, 63u, 64u}) {
+            const std::uint64_t e = 64 * last + t;
+            if (e <= n) check(b, e);
+          }
+        }
+        if (b <= n) check(b, n);  // a partial last word when n % 64 != 0
+      }
+    }
+    for (int i = 0; i < 2000; ++i) {
+      std::uint64_t b = rng.below(n + 1);
+      std::uint64_t e = rng.below(n + 1);
+      if (b > e) std::swap(b, e);
+      check(b, e);
+    }
+  }
 }
 
 }  // namespace

@@ -337,6 +337,29 @@ TEST(BitmapMetafile, LoadAllMasksFinalBlockTail) {
   // The poisoned bits are beyond size(); growth must hand them out clean.
   reloaded.grow(n + 100);
   EXPECT_EQ(reloaded.free_in_range(n, n + 100), 100u);
+
+  // Block 1 is full-length in words but its final word is partial: the
+  // load must still trim the poisoned bits past size(), and the interior
+  // block 0 must come back whole, its last bit included.
+  BlockStore store2(4);
+  const std::uint64_t n2 = 2 * kBitsPerBitmapBlock - 10;
+  BitmapMetafile mf2(n2, &store2, 0);
+  mf2.set_allocated(kBitsPerBitmapBlock - 1);
+  mf2.set_allocated(n2 - 1);
+  mf2.flush();
+  for (std::size_t bit = kBitsPerBitmapBlock - 10; bit < kBitsPerBitmapBlock;
+       ++bit) {
+    store2.corrupt(1, bit);
+  }
+  BitmapMetafile reloaded2(n2, &store2, 0);
+  reloaded2.load_all();
+  EXPECT_EQ(reloaded2.total_free(), n2 - 2);
+  EXPECT_EQ(reloaded2.block_free_count(0), kBitsPerBitmapBlock - 1);
+  EXPECT_EQ(reloaded2.block_free_count(1), kBitsPerBitmapBlock - 11);
+  EXPECT_TRUE(reloaded2.test(kBitsPerBitmapBlock - 1));
+  EXPECT_TRUE(reloaded2.test(n2 - 1));
+  reloaded2.grow(2 * kBitsPerBitmapBlock);
+  EXPECT_EQ(reloaded2.free_in_range(n2, 2 * kBitsPerBitmapBlock), 10u);
 }
 
 // Word allocation against per-bit set_allocated(): same bits, per-block
